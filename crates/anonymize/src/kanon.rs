@@ -116,7 +116,7 @@ fn equivalence_classes(table: &Table, qi_idx: &[usize]) -> HashMap<Vec<Value>, V
 fn equivalence_classes_columnar(table: &Table, qi_idx: &[usize]) -> Option<Vec<Vec<usize>>> {
     use bi_relation::ColumnChunk;
     let chunk = ColumnChunk::from_table_cols(table, qi_idx).ok()?;
-    let mut coded: Vec<(Vec<u32>, u32)> = Vec::with_capacity(qi_idx.len());
+    let mut coded: Vec<(&[u32], u32)> = Vec::with_capacity(qi_idx.len());
     for &c in qi_idx {
         // Conversion materialized exactly these columns; decline to the
         // row path rather than abort if that invariant ever breaks.

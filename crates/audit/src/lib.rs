@@ -18,6 +18,8 @@
 //!   leaked source attribute, find every logged delivery that exposed
 //!   it and the exact report cells that did.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod dispute;
 pub mod log;
 pub mod monitor;

@@ -1,10 +1,11 @@
 //! Row-at-a-time vs vectorized columnar executor timings.
 //!
-//! Times the three operators the columnar layer vectorizes — predicate
-//! filter (selection-vector kernels), dictionary-code equality join and
-//! dense-code grouped aggregation — at several table sizes, all on a
-//! single thread so the speedup is purely algorithmic. Verifies the
-//! columnar output is *identical* to the row-engine one and writes
+//! Times the three operators the columnar engine vectorizes — predicate
+//! filter (selection-vector kernels), equality join (the fused
+//! pipeline's streamed probe over dictionary codes, with a materialize
+//! sink) and code-slotted grouped aggregation — at several table sizes,
+//! all on a single thread so the speedup is purely algorithmic. Verifies
+//! the columnar output is *identical* to the row-engine one and writes
 //! `BENCH_columnar.json` for `scripts/bench_smoke.sh`.
 //!
 //! Usage: `cargo run --release -p bi-bench --bin bench_columnar --

@@ -19,6 +19,8 @@
 //! * [`check`] — static PLA compliance of a pipeline *before it runs*
 //!   (the paper's "testable" requirement, §2.i).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod check;
 pub mod error;
 pub mod pipeline;

@@ -36,6 +36,8 @@
 //! 2 and 8 threads. Timings are present (`SpanStat::nanos`) but are
 //! metadata, not identity.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,12 +89,6 @@ counters! {
     ColumnarFilterDeclineCompile => "columnar.filter.decline.compile",
     /// Filter input declined chunk conversion; row fallback.
     ColumnarFilterDeclineConvert => "columnar.filter.decline.convert",
-    /// Dictionary-code / u64-key join served the operator.
-    ColumnarJoinHit => "columnar.join.hit",
-    /// Join shape unsupported (cross-typed keys); row fallback.
-    ColumnarJoinDeclineShape => "columnar.join.decline.shape",
-    /// A join input declined chunk conversion; row fallback.
-    ColumnarJoinDeclineConvert => "columnar.join.decline.convert",
     /// Dense-code group-by served the operator.
     ColumnarGroupByHit => "columnar.groupby.hit",
     /// Group-by shape unsupported (empty key, invariant break); row fallback.

@@ -470,4 +470,19 @@ pla "hospital-2008" source hospital version 2 level meta-report {
             Err(PlaError::Condition { .. })
         ));
     }
+
+    /// Regression: a non-ASCII character inside a `when` condition used
+    /// to panic in the expression lexer. It is now a typed condition
+    /// error (or, for Unicode letters, an ordinary identifier).
+    #[test]
+    fn non_ascii_condition_is_a_typed_error() {
+        let text = "pla \"x\" source s version 1 level report {\n  restrict rows T when Dis£ase <> 'HIV';\n}";
+        assert!(matches!(
+            parse_documents(text),
+            Err(PlaError::Condition { .. })
+        ));
+        let text =
+            "pla \"x\" source s version 1 level report {\n  restrict rows T when naïve = 1;\n}";
+        assert_eq!(parse_documents(text).unwrap().len(), 1);
+    }
 }

@@ -19,6 +19,8 @@
 //! * *backward*: which source cells fed a given report cell (dispute
 //!   resolution — who is responsible for a leaked value).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod annotated;
 pub mod lineage;
 pub mod propagate;

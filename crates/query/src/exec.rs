@@ -5,24 +5,28 @@
 //! aggregation groups by hashing. This is the execution substrate under
 //! ETL, warehouse loading, and enforced report rendering.
 //!
-//! [`execute_with`] takes a [`bi_exec::ExecConfig`]. A join or a
-//! grouped aggregate has two rungs: the columnar kernel when
-//! `ExecConfig::columnar` is set and the inputs convert, else the
-//! serial row engine, which is the byte-identity oracle. Every decision
-//! is counted (`plan.choice.{columnar,serial}`). `threads` parallelizes
-//! the morsel loops underneath (scalar filters and projections, the
-//! columnar join probe, fused pipelines); they reassemble in morsel
-//! order, so results (rows *and* row order) are identical at any thread
-//! count.
+//! [`execute_with`] takes a [`bi_exec::ExecConfig`]. With
+//! `ExecConfig::columnar` and `ExecConfig::pipeline` set, fusible chains
+//! — and every equality join — go through the push-based pipeline
+//! ([`crate::pipeline`]) first: joins stream their probe side against
+//! the build side's cached key chunk and never build the joined table
+//! unless it is the result. Whatever the pipeline declines runs here,
+//! operator at a time. A grouped aggregate or a sort has two rungs: the
+//! columnar kernel when `ExecConfig::columnar` is set and the inputs
+//! convert, else the serial row engine, which is the byte-identity
+//! oracle; joins here always run on the serial row join. Every decision
+//! is counted (`plan.choice.{pipeline,columnar,serial}`). `threads`
+//! parallelizes the morsel loops underneath (scalar filters and
+//! projections, fused pipelines); they reassemble in morsel order, so
+//! results (rows *and* row order) are identical at any thread count.
 //!
 //! With `ExecConfig::columnar` set, operators first try columnar
 //! kernels: filters compile to vectorized predicates over
-//! [`bi_relation::ColumnChunk`]s, equality joins (any key count) hash
-//! `u64` keyspaces (dictionary codes for text — one string lookup per
-//! *distinct* value, pure integer compares per row), group-bys use
-//! dense equivalence codes instead of `Value` hashing with vectorized
-//! aggregate kernels over the typed columns, and sorts (including
-//! fused `Limit(Sort(…))` top-k) order typed vectors through
+//! [`bi_relation::ColumnChunk`]s, group-bys slot rows by per-column
+//! codes (dictionary codes for text, each cached column's dense codes
+//! otherwise) instead of `Value` hashing, with vectorized aggregate
+//! kernels over the typed columns, and sorts (including fused
+//! `Limit(Sort(…))` top-k) order typed vectors through
 //! [`bi_relation::sort_permutation`]. Chunk conversions are served from
 //! the process-wide version-keyed column cache, so repeated renders of
 //! an unchanged warehouse convert nothing (`chunk.cache.hit/miss`).
@@ -111,7 +115,7 @@ pub(crate) fn exec_guarded(
             let lt = exec_guarded(left, cat, cfg, stack)?;
             let rt = exec_guarded(right, cat, cfg, stack)?;
             cfg.obs.count(Counter::QueryJoin);
-            join_with(&lt, &rt, *kind, on, right_prefix, cfg)
+            join_op(&lt, &rt, *kind, on, right_prefix, cfg)
         }
         Plan::Aggregate {
             input,
@@ -285,18 +289,19 @@ pub fn join_output_name(left: &Table, right: &Table) -> String {
 }
 
 /// Join output schema: left ⊕ prefixed right, right side nullable for
-/// left joins.
-fn join_schema(
-    left: &Table,
-    right: &Table,
+/// left joins. Takes schemas only, so the pipeline can plan a streamed
+/// join before its probe side has produced any table.
+pub(crate) fn join_schema(
+    left: &Schema,
+    right: &Schema,
     kind: JoinKind,
     right_prefix: &str,
 ) -> Result<Schema, QueryError> {
-    let schema = left.schema().join(right.schema(), right_prefix)?;
+    let schema = left.join(right, right_prefix)?;
     // Left-join output must admit NULLs on the right side.
     if kind == JoinKind::Left {
         let mut cols = schema.columns().to_vec();
-        for c in cols.iter_mut().skip(left.schema().len()) {
+        for c in cols.iter_mut().skip(left.len()) {
             c.nullable = true;
         }
         Ok(Schema::new(cols)?)
@@ -305,7 +310,11 @@ fn join_schema(
     }
 }
 
-fn join_with(
+/// The Join operator over materialized inputs: the serial row join.
+/// Columnar execution streams joins through the pipeline instead; this
+/// serves joins when the pipeline is off and every join the pipeline
+/// declines (its fallback), so it is the oracle.
+pub(crate) fn join_op(
     left: &Table,
     right: &Table,
     kind: JoinKind,
@@ -313,368 +322,8 @@ fn join_with(
     right_prefix: &str,
     cfg: &ExecConfig,
 ) -> Result<Table, QueryError> {
-    use bi_exec::Counter;
-    if cfg.columnar {
-        if let Some(out) = join_columnar(left, right, kind, on, right_prefix, cfg)? {
-            cfg.obs.count(Counter::PlanChoiceColumnar);
-            return Ok(out);
-        }
-    }
-    cfg.obs.count(Counter::PlanChoiceSerial);
-    join(left, right, kind, on, right_prefix, cfg)
-}
-
-/// Encodes one side's join-key column into a `u64` keyspace shared by
-/// both sides, `None` per row for NULL (never matches). Returns `None`
-/// for text columns (they take the dictionary-translation path).
-///
-/// `float_space` selects `f64` `float_key` encoding — required whenever
-/// the *other* side is a Float column, because `Int(a) = Float(b)`
-/// compares in `f64` space (mirroring `Value::cmp`).
-fn join_keys_u64(col: &bi_relation::ChunkColumn, float_space: bool) -> Option<Vec<Option<u64>>> {
-    use bi_relation::ColumnData;
-    let v = &col.validity;
-    let mk = |i: usize, raw: u64| if v.is_null(i) { None } else { Some(raw) };
-    Some(match &col.data {
-        ColumnData::Int(d) => d
-            .iter()
-            .enumerate()
-            .map(|(i, x)| {
-                mk(
-                    i,
-                    if float_space {
-                        Value::float_key(*x as f64)
-                    } else {
-                        *x as u64
-                    },
-                )
-            })
-            .collect(),
-        ColumnData::Float(d) => d
-            .iter()
-            .enumerate()
-            .map(|(i, x)| mk(i, Value::float_key(*x)))
-            .collect(),
-        ColumnData::Date(d) => d
-            .iter()
-            .enumerate()
-            .map(|(i, x)| mk(i, x.days_from_epoch() as u64))
-            .collect(),
-        ColumnData::Bool(d) => d
-            .iter()
-            .enumerate()
-            .map(|(i, x)| mk(i, *x as u64))
-            .collect(),
-        ColumnData::Text { .. } => return None,
-    })
-}
-
-/// Morsel-driven probe + emit shared by the columnar join paths.
-/// `matches_of(i)` yields the matching right-row indices for left row
-/// `i`, ascending — the same order the serial probe emits.
-fn emit_join_rows<'a, F>(
-    left: &Table,
-    right: &Table,
-    schema: Schema,
-    kind: JoinKind,
-    cfg: &ExecConfig,
-    matches_of: F,
-) -> Table
-where
-    F: Fn(usize) -> &'a [u32] + Sync,
-{
-    let right_width = right.schema().len();
-    let blocks: Vec<Vec<Vec<Value>>> =
-        bi_exec::par_ranges(cfg, left.len(), bi_exec::MORSEL_ROWS, |s, e| {
-            let mut rows: Vec<Vec<Value>> = Vec::new();
-            for i in s..e {
-                let matches = matches_of(i);
-                if matches.is_empty() {
-                    if kind == JoinKind::Left {
-                        let mut row = left.rows()[i].clone();
-                        row.extend(std::iter::repeat_n(Value::Null, right_width));
-                        rows.push(row);
-                    }
-                    continue;
-                }
-                for &ri in matches {
-                    let mut row = left.rows()[i].clone();
-                    row.extend(right.rows()[ri as usize].iter().cloned());
-                    rows.push(row);
-                }
-            }
-            rows
-        });
-    let rows: Vec<Vec<Value>> = blocks.into_iter().flatten().collect();
-    Table::from_rows_trusted(join_output_name(left, right), schema, rows)
-}
-
-/// Encodes one key-column pair into a shared per-position `u64`
-/// keyspace, `None` per row for NULL (never matches). Text pairs
-/// translate left dictionary codes into the right dictionary once (one
-/// string lookup per *distinct* left value); `u64::MAX` marks a string
-/// absent from the right side — right codes are dense `u32`s, so the
-/// sentinel can never collide with a real right encoding. Other types
-/// go through [`join_keys_u64`], in `f64` `float_key` space as soon as
-/// either side is Float (mirroring `Value::cmp`).
-fn encode_key_pair(
-    lcol: &bi_relation::ChunkColumn,
-    rcol: &bi_relation::ChunkColumn,
-) -> Option<(Vec<Option<u64>>, Vec<Option<u64>>)> {
-    use bi_relation::ColumnData;
-    if let (
-        ColumnData::Text {
-            codes: lcodes,
-            dict: ldict,
-        },
-        ColumnData::Text {
-            codes: rcodes,
-            dict: rdict,
-        },
-    ) = (&lcol.data, &rcol.data)
-    {
-        const NO_MATCH: u64 = u64::MAX;
-        let trans: Vec<u64> = (0..ldict.len() as u32)
-            .map(|lc| {
-                rdict
-                    .code_of(ldict.get(lc))
-                    .map(|c| c as u64)
-                    .unwrap_or(NO_MATCH)
-            })
-            .collect();
-        let l = lcodes
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                if lcol.validity.is_null(i) {
-                    None
-                } else {
-                    Some(trans[c as usize])
-                }
-            })
-            .collect();
-        let r = rcodes
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                if rcol.validity.is_null(i) {
-                    None
-                } else {
-                    Some(c as u64)
-                }
-            })
-            .collect();
-        return Some((l, r));
-    }
-    let float_space =
-        matches!(lcol.data, ColumnData::Float(_)) || matches!(rcol.data, ColumnData::Float(_));
-    Some((
-        join_keys_u64(lcol, float_space)?,
-        join_keys_u64(rcol, float_space)?,
-    ))
-}
-
-/// Columnar equality join, any number of key pairs. Single text keys
-/// take the fastest path — the probe is pure `u32` indexing into
-/// per-code match lists, no per-row hashing or string compares. Single
-/// non-text keys hash a `u64` keyspace; multi-key joins hash composite
-/// per-pair `u64` encodings. Key columns are served from the
-/// version-keyed chunk cache. Returns `Ok(None)` — fall back to the
-/// row engines — for cross-typed keys and for tables that decline
-/// columnar conversion; otherwise the result is byte-identical to the
-/// serial [`join`].
-fn join_columnar(
-    left: &Table,
-    right: &Table,
-    kind: JoinKind,
-    on: &[(String, String)],
-    right_prefix: &str,
-    cfg: &ExecConfig,
-) -> Result<Option<Table>, QueryError> {
-    use bi_exec::Counter;
-    use bi_relation::{ColumnChunk, ColumnData};
-    use bi_types::DataType;
-    if on.is_empty() {
-        cfg.obs.count(Counter::ColumnarJoinDeclineShape);
-        return Ok(None);
-    }
-    // Same error order as the serial path: schema first, then keys.
-    let schema = join_schema(left, right, kind, right_prefix)?;
-    let lks: Vec<usize> = on
-        .iter()
-        .map(|(l, _)| left.schema().index_of(l))
-        .collect::<Result<_, _>>()?;
-    let rks: Vec<usize> = on
-        .iter()
-        .map(|(_, r)| right.schema().index_of(r))
-        .collect::<Result<_, _>>()?;
-    let numeric = |t: DataType| matches!(t, DataType::Int | DataType::Float);
-    for (&lk, &rk) in lks.iter().zip(&rks) {
-        let (lt, rt) = (
-            left.schema().columns()[lk].dtype,
-            right.schema().columns()[rk].dtype,
-        );
-        if lt != rt && !(numeric(lt) && numeric(rt)) {
-            // Cross-typed keys never compare equal; not worth a kernel.
-            cfg.obs.count(Counter::ColumnarJoinDeclineShape);
-            return Ok(None);
-        }
-    }
-    let lchunk = match ColumnChunk::from_table_cols_cached(left, &lks, cfg) {
-        Ok(c) => c,
-        Err(e) => {
-            cfg.obs.count(e.counter());
-            cfg.obs.count(Counter::ColumnarJoinDeclineConvert);
-            return Ok(None);
-        }
-    };
-    let rchunk = match ColumnChunk::from_table_cols_cached(right, &rks, cfg) {
-        Ok(c) => c,
-        Err(e) => {
-            cfg.obs.count(e.counter());
-            cfg.obs.count(Counter::ColumnarJoinDeclineConvert);
-            return Ok(None);
-        }
-    };
-    // One chunk obtained per side, cached or not.
-    cfg.obs.add(Counter::ColumnarConvert, 2);
-
-    if on.len() == 1 {
-        // The conversions above materialized exactly these columns;
-        // decline to the row engine rather than abort if that invariant
-        // ever breaks.
-        let (Some(lcol), Some(rcol)) = (lchunk.column(lks[0]), rchunk.column(rks[0])) else {
-            cfg.obs.count(Counter::ColumnarJoinDeclineShape);
-            return Ok(None);
-        };
-
-        if let (
-            ColumnData::Text {
-                codes: lcodes,
-                dict: ldict,
-            },
-            ColumnData::Text {
-                codes: rcodes,
-                dict: rdict,
-            },
-        ) = (&lcol.data, &rcol.data)
-        {
-            cfg.obs.count(Counter::ColumnarJoinHit);
-            let build_span = cfg.obs.span(bi_exec::SpanKind::QueryJoinBuild);
-            // Match lists per right code, ascending by construction.
-            let mut by_code: Vec<Vec<u32>> = vec![Vec::new(); rdict.len()];
-            for (i, &c) in rcodes.iter().enumerate() {
-                if !rcol.validity.is_null(i) {
-                    by_code[c as usize].push(i as u32);
-                }
-            }
-            // Left code → right code translation (u32::MAX = no such
-            // string; codes are dense, so a real code never reaches it).
-            const NO_MATCH: u32 = u32::MAX;
-            let trans: Vec<u32> = (0..ldict.len() as u32)
-                .map(|lc| rdict.code_of(ldict.get(lc)).unwrap_or(NO_MATCH))
-                .collect();
-            drop(build_span);
-            let _probe_span = cfg.obs.span(bi_exec::SpanKind::QueryJoinProbe);
-            let empty: &[u32] = &[];
-            let matches_of = |i: usize| -> &[u32] {
-                if lcol.validity.is_null(i) {
-                    return empty;
-                }
-                match trans[lcodes[i] as usize] {
-                    NO_MATCH => empty,
-                    rc => &by_code[rc as usize],
-                }
-            };
-            return Ok(Some(emit_join_rows(
-                left, right, schema, kind, cfg, matches_of,
-            )));
-        }
-
-        // Non-text keys: one shared u64 keyspace (f64 `float_key` space
-        // as soon as either side is Float).
-        let float_space =
-            matches!(lcol.data, ColumnData::Float(_)) || matches!(rcol.data, ColumnData::Float(_));
-        let (Some(lkeys), Some(rkeys)) = (
-            join_keys_u64(lcol, float_space),
-            join_keys_u64(rcol, float_space),
-        ) else {
-            cfg.obs.count(Counter::ColumnarJoinDeclineShape);
-            return Ok(None);
-        };
-        cfg.obs.count(Counter::ColumnarJoinHit);
-        let build_span = cfg.obs.span(bi_exec::SpanKind::QueryJoinBuild);
-        let mut index: std::collections::HashMap<u64, Vec<u32>> = std::collections::HashMap::new();
-        for (i, k) in rkeys.iter().enumerate() {
-            if let Some(k) = k {
-                index.entry(*k).or_default().push(i as u32);
-            }
-        }
-        drop(build_span);
-        let _probe_span = cfg.obs.span(bi_exec::SpanKind::QueryJoinProbe);
-        let empty: &[u32] = &[];
-        let matches_of = |i: usize| -> &[u32] {
-            lkeys[i]
-                .and_then(|k| index.get(&k))
-                .map(Vec::as_slice)
-                .unwrap_or(empty)
-        };
-        return Ok(Some(emit_join_rows(
-            left, right, schema, kind, cfg, matches_of,
-        )));
-    }
-
-    // Multi-key: composite keys from per-pair u64 encodings. A NULL in
-    // any position disqualifies the row (SQL equality), matching the
-    // serial build/probe exactly.
-    let mut lenc: Vec<Vec<Option<u64>>> = Vec::with_capacity(on.len());
-    let mut renc: Vec<Vec<Option<u64>>> = Vec::with_capacity(on.len());
-    for (&lk, &rk) in lks.iter().zip(&rks) {
-        let (Some(lcol), Some(rcol)) = (lchunk.column(lk), rchunk.column(rk)) else {
-            cfg.obs.count(Counter::ColumnarJoinDeclineShape);
-            return Ok(None);
-        };
-        let Some((l, r)) = encode_key_pair(lcol, rcol) else {
-            cfg.obs.count(Counter::ColumnarJoinDeclineShape);
-            return Ok(None);
-        };
-        lenc.push(l);
-        renc.push(r);
-    }
-    cfg.obs.count(Counter::ColumnarJoinHit);
-    let build_span = cfg.obs.span(bi_exec::SpanKind::QueryJoinBuild);
-    let composite = |encs: &[Vec<Option<u64>>], i: usize| -> Option<Vec<u64>> {
-        encs.iter().map(|e| e[i]).collect()
-    };
-    let mut index: std::collections::HashMap<Vec<u64>, Vec<u32>> = std::collections::HashMap::new();
-    for i in 0..right.len() {
-        if let Some(key) = composite(&renc, i) {
-            index.entry(key).or_default().push(i as u32);
-        }
-    }
-    drop(build_span);
-    let _probe_span = cfg.obs.span(bi_exec::SpanKind::QueryJoinProbe);
-    let empty: &[u32] = &[];
-    let matches_of = |i: usize| -> &[u32] {
-        composite(&lenc, i)
-            .and_then(|k| index.get(&k))
-            .map(Vec::as_slice)
-            .unwrap_or(empty)
-    };
-    Ok(Some(emit_join_rows(
-        left, right, schema, kind, cfg, matches_of,
-    )))
-}
-
-fn join(
-    left: &Table,
-    right: &Table,
-    kind: JoinKind,
-    on: &[(String, String)],
-    right_prefix: &str,
-    cfg: &ExecConfig,
-) -> Result<Table, QueryError> {
-    let schema = join_schema(left, right, kind, right_prefix)?;
+    cfg.obs.count(bi_exec::Counter::PlanChoiceSerial);
+    let schema = join_schema(left.schema(), right.schema(), kind, right_prefix)?;
     let left_keys: Vec<usize> = on
         .iter()
         .map(|(l, _)| left.schema().index_of(l))
@@ -744,18 +393,18 @@ fn aggregate_with(
     aggregate(input, group_by, aggs)
 }
 
-/// Columnar group-by, any number of key columns: group keys become
-/// dense `u32` equivalence codes (one dictionary/hash probe per
-/// *distinct* value for text, plain integer classing otherwise), so
-/// grouping is a vector scatter instead of per-row `Value` hashing.
-/// Multi-column keys fold per-column codes into composite codes, still
-/// assigned in first-appearance order — exactly the group order the
-/// serial engine emits. Aggregates run on vectorized kernels over the
-/// typed argument columns when one applies ([`eval_agg_columnar`]),
-/// falling back to [`eval_agg`] per aggregate otherwise, so results —
-/// including error cases — are identical. Key and argument columns are
-/// served from the version-keyed chunk cache. Returns `Ok(None)` for
-/// tables that decline columnar conversion of the key columns.
+/// Columnar group-by, any number of key columns: rows slot into groups
+/// by their key columns' codes through [`crate::pipeline::GroupSlots`]
+/// (the fused aggregate sink's grouping routine), so grouping is integer
+/// indexing instead of per-row `Value` hashing, and groups come out in
+/// first-appearance order — exactly the group order the serial engine
+/// emits. Aggregates run on vectorized kernels over the typed argument
+/// columns when one applies ([`eval_agg_columnar`]), falling back to
+/// [`eval_agg`] per aggregate otherwise, so results — including error
+/// cases — are identical. Key and argument columns are served from the
+/// version-keyed chunk cache, and a key column's dense codes are built
+/// once per cached column. Returns `Ok(None)` for tables that decline
+/// columnar conversion of the key columns.
 fn aggregate_columnar(
     input: &Table,
     group_by: &[String],
@@ -792,28 +441,24 @@ fn aggregate_columnar(
     cfg.obs.count(Counter::ColumnarConvert);
     cfg.obs.count(Counter::ColumnarGroupByHit);
 
-    // Composite dense codes: fold one key column at a time, reassigning
-    // codes in first-appearance order of the (prefix, next) pair. Each
-    // fold is one u64-keyed hash pass; after the last, equal codes ⇔
-    // equal composite keys and code order = first-appearance order.
-    let (mut codes, mut card) = key_data[0].dense_codes();
-    for key in &key_data[1..] {
-        let (next_codes, next_card) = key.dense_codes();
-        let mut map: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-        let mut next = 0u32;
-        for (c, &nc) in codes.iter_mut().zip(&next_codes) {
-            let folded = *c as u64 * next_card as u64 + nc as u64;
-            *c = *map.entry(folded).or_insert_with(|| {
-                let v = next;
-                next += 1;
-                v
-            });
+    // Slot rows into groups by their key columns' codes (dictionary
+    // codes for text, the column's cached dense codes otherwise):
+    // first-appearance ids, exactly the group order the serial engine
+    // emits.
+    let codes: Vec<bi_relation::GroupCodes> = key_data.iter().map(|c| c.group_codes()).collect();
+    let cards: Vec<u32> = codes.iter().map(|c| c.cardinality()).collect();
+    let mut slots = crate::pipeline::GroupSlots::new(&cards);
+    let mut key = vec![0u32; codes.len()];
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for i in 0..input.len() {
+        for (k, c) in key.iter_mut().zip(&codes) {
+            *k = c.code(i);
         }
-        card = next;
-    }
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); card as usize];
-    for (i, &c) in codes.iter().enumerate() {
-        groups[c as usize].push(i);
+        let (g, fresh) = slots.slot(&key);
+        if fresh {
+            groups.push(Vec::new());
+        }
+        groups[g as usize].push(i);
     }
 
     // Argument columns for the vectorized kernels, from the same cache.
@@ -1381,8 +1026,8 @@ mod tests {
     #[test]
     fn columnar_pipeline_matches_serial_exactly() {
         let cat = big_catalog(10_000);
-        // Filter + dictionary-code join + dense-code group-by, all on
-        // the columnar paths; `V` has NULLs every 97th row.
+        // Filter + streamed join + code-slotted group-by, all on the
+        // columnar paths; `V` has NULLs every 97th row.
         let plan = scan("Fact")
             .filter(col("V").ge(lit(250)).or(col("V").is_null()))
             .join(scan("Dim"), vec![("K".into(), "K".into())], "d")
@@ -1425,7 +1070,7 @@ mod tests {
                     vec![("Doctor".into(), "Doctor".into())],
                     "r",
                 ),
-            // Multi-key joins take the composite-key kernel; result matches.
+            // Multi-key joins take the composite-key probe; result matches.
             scan("Familydoctor").left_join(
                 scan("Prescriptions"),
                 vec![
@@ -1501,15 +1146,15 @@ mod tests {
         assert_eq!(columnar, serial);
     }
 
-    /// Columnar declines are not silent: the obs layer records the
-    /// decline reason, and the row-engine fallback still runs the
+    /// Pipeline declines are not silent: the obs layer records the
+    /// decline reason, and the row-join fallback still runs the
     /// operator (join build/probe spans recorded exactly once).
     #[test]
     fn columnar_declines_surface_as_obs_counters() {
         let cat = paper_catalog();
         let obs = bi_exec::Obs::enabled();
         let cfg = ExecConfig::columnar().with_obs(obs.clone());
-        // A cross-typed key (Text = Int) is outside every join kernel's
+        // A cross-typed key (Text = Int) is outside the streamed join's
         // shape — such keys never compare equal.
         let p = scan("Prescriptions").join(
             scan("DrugCost"),
@@ -1526,14 +1171,16 @@ mod tests {
             "decline falls back byte-identically"
         );
         let snap = obs.snapshot();
-        assert_eq!(snap.counters.get("columnar.join.decline.shape"), Some(&1));
+        assert_eq!(snap.counters.get("pipeline.decline.shape"), Some(&1));
+        assert_eq!(snap.counters.get("plan.choice.serial"), Some(&1));
         assert_eq!(snap.counters.get("query.op.join"), Some(&1));
         assert_eq!(snap.spans.get("query.join.build").map(|s| s.count), Some(1));
         assert_eq!(snap.spans.get("query.join.probe").map(|s| s.count), Some(1));
     }
 
-    /// Multi-key joins are served by the composite-key kernel — no
-    /// shape decline — and match the row engine byte for byte.
+    /// Multi-key joins stream through the pipeline's composite-key
+    /// probe — no shape decline — and match the row engine byte for
+    /// byte.
     #[test]
     fn columnar_multi_key_join_hits_kernel() {
         let cat = paper_catalog();
@@ -1554,11 +1201,11 @@ mod tests {
         assert_eq!(columnar.rows(), serial.rows());
         assert_eq!(columnar.schema(), serial.schema());
         let snap = obs.snapshot();
-        assert_eq!(snap.counters.get("columnar.join.hit"), Some(&1));
-        assert_eq!(snap.counters.get("columnar.join.decline.shape"), None);
+        assert_eq!(snap.counters.get("plan.choice.pipeline"), Some(&1));
+        assert_eq!(snap.counters.get("pipeline.decline.shape"), None);
     }
 
-    /// Mixed text+int multi-key self-join through the composite kernel.
+    /// Mixed text+int multi-key self-join through the composite-key probe.
     #[test]
     fn columnar_mixed_type_multi_key_join_matches_serial() {
         let cat = big_catalog(5_000);
@@ -1653,7 +1300,7 @@ mod tests {
         }
     }
 
-    /// A served columnar operator converts each input exactly once —
+    /// A streamed join converts each input exactly once —
     /// `columnar.convert` counts conversions, so a join is exactly 2.
     #[test]
     fn columnar_join_converts_each_side_once() {
@@ -1667,7 +1314,7 @@ mod tests {
         );
         execute_with(&p, &cat, &cfg).unwrap();
         let snap = obs.snapshot();
-        assert_eq!(snap.counters.get("columnar.join.hit"), Some(&1));
+        assert_eq!(snap.counters.get("plan.choice.pipeline"), Some(&1));
         assert_eq!(snap.counters.get("columnar.convert"), Some(&2));
     }
 }

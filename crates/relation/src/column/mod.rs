@@ -28,7 +28,7 @@ pub mod kernel;
 pub mod sort;
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bi_types::{DataType, Date, Schema, Value};
 
@@ -235,6 +235,45 @@ pub enum ColumnData {
 pub struct Column {
     pub data: ColumnData,
     pub validity: Validity,
+    /// Dense equivalence codes, built on first use and kept with the
+    /// column, so a cached column computes them once per storage
+    /// version: `(codes, cardinality, NULL's code if any row is NULL)`.
+    dense: OnceLock<(Vec<u32>, u32, Option<u32>)>,
+}
+
+/// Per-row grouping codes of one column: two rows share a code exactly
+/// when their `Value`s are equal, NULL being a class of its own. Every
+/// code, NULL's included, lies below [`GroupCodes::cardinality`].
+#[derive(Debug, Clone, Copy)]
+pub struct GroupCodes<'a> {
+    codes: &'a [u32],
+    /// Text columns read their dictionary codes, whose NULL slots hold a
+    /// placeholder: rows NULL here take `null` instead.
+    nulls: Option<&'a Validity>,
+    null: u32,
+    card: u32,
+}
+
+impl GroupCodes<'_> {
+    /// The code of row `i`.
+    #[inline]
+    pub fn code(&self, i: usize) -> u32 {
+        match self.nulls {
+            Some(v) if v.is_null(i) => self.null,
+            _ => self.codes[i],
+        }
+    }
+
+    /// The code a NULL cell takes (also for rows no other row shares,
+    /// such as a left join's padding).
+    pub fn null_code(&self) -> u32 {
+        self.null
+    }
+
+    /// Size of the code domain.
+    pub fn cardinality(&self) -> u32 {
+        self.card
+    }
 }
 
 impl Column {
@@ -252,12 +291,53 @@ impl Column {
         }
     }
 
+    /// Wraps typed data and its validity.
+    pub fn new(data: ColumnData, validity: Validity) -> Self {
+        Column {
+            data,
+            validity,
+            dense: OnceLock::new(),
+        }
+    }
+
     /// Dense first-appearance equivalence codes for this column: two
     /// rows get the same code exactly when their `Value`s are equal
     /// (NULLs form their own class, as `Value::Null == Value::Null`).
-    /// Returns `(codes, cardinality)`. This is the columnar
-    /// quasi-identifier grouping primitive used by `anonymize`.
-    pub fn dense_codes(&self) -> (Vec<u32>, u32) {
+    /// Returns `(codes, cardinality)`. Computed once per column and
+    /// kept with it. This is the columnar quasi-identifier grouping
+    /// primitive used by `anonymize`.
+    pub fn dense_codes(&self) -> (&[u32], u32) {
+        let (codes, card, _) = self.dense.get_or_init(|| self.build_dense_codes());
+        (codes, *card)
+    }
+
+    /// Grouping codes for this column: a text column's dictionary codes
+    /// as they are (its dictionary is already dense and first-appearance
+    /// ordered), the cached [`Column::dense_codes`] for every other type.
+    pub fn group_codes(&self) -> GroupCodes<'_> {
+        if let ColumnData::Text { codes, dict } = &self.data {
+            let null = dict.len() as u32;
+            return GroupCodes {
+                codes,
+                nulls: (!self.validity.all_valid_hint()).then_some(&self.validity),
+                null,
+                card: null.saturating_add(1),
+            };
+        }
+        let (codes, card, null) = self.dense.get_or_init(|| self.build_dense_codes());
+        GroupCodes {
+            codes,
+            nulls: None,
+            null: null.unwrap_or(*card),
+            card: if null.is_some() {
+                *card
+            } else {
+                card.saturating_add(1)
+            },
+        }
+    }
+
+    fn build_dense_codes(&self) -> (Vec<u32>, u32, Option<u32>) {
         let n = self.validity.len();
         let mut codes = vec![0u32; n];
         let mut next = 0u32;
@@ -300,7 +380,7 @@ impl Column {
                 assign!(dict_codes, |c: &u32| *c)
             }
         }
-        (codes, next)
+        (codes, next, null_code)
     }
 }
 
@@ -529,7 +609,7 @@ pub(crate) fn build_column(
             ColumnData::Date(v)
         }
     };
-    Ok(Column { data, validity })
+    Ok(Column::new(data, validity))
 }
 
 #[cfg(test)]
@@ -672,8 +752,30 @@ mod tests {
         )
         .unwrap();
         let chunk = ColumnChunk::from_table(&t).unwrap();
-        let (codes, card) = chunk.column(0).unwrap().dense_codes();
-        assert_eq!(codes, vec![0, 0, 1, 2, 2, 1]);
+        let col = chunk.column(0).unwrap();
+        let (codes, card) = col.dense_codes();
+        assert_eq!(codes, &[0, 0, 1, 2, 2, 1]);
         assert_eq!(card, 3);
+        // Grouping codes reuse them; NULL keeps its first-appearance code.
+        let g = col.group_codes();
+        assert_eq!((g.code(4), g.null_code(), g.cardinality()), (2, 1, 3));
+    }
+
+    #[test]
+    fn group_codes_give_null_its_own_class() {
+        let t = mixed_table();
+        let chunk = ColumnChunk::from_table(&t).unwrap();
+        // Text: dictionary codes, NULL one past the dictionary.
+        let text = chunk.column(0).unwrap().group_codes();
+        assert_eq!((text.code(0), text.code(1), text.code(2)), (0, 1, 0));
+        assert_eq!((text.null_code(), text.cardinality()), (2, 3));
+        // Int with a NULL row: the dense NULL class.
+        let int = chunk.column(1).unwrap().group_codes();
+        assert_eq!((int.code(0), int.code(1), int.code(2)), (0, 1, 2));
+        assert_eq!((int.null_code(), int.cardinality()), (1, 3));
+        // No NULL row: NULL still gets a code of its own, past the rest.
+        let date = chunk.column(3).unwrap().group_codes();
+        assert_eq!((date.code(0), date.code(1), date.code(2)), (0, 1, 0));
+        assert_eq!((date.null_code(), date.cardinality()), (2, 3));
     }
 }

@@ -76,8 +76,10 @@ fn lex(input: &str) -> Result<Vec<Token>, RelationError> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    // `i` only ever advances by whole characters (every branch below
+    // consumes ASCII bytes or `len_utf8` of a decoded char), so slicing
+    // `input` at it is always on a char boundary.
+    while let Some(c) = input[i..].chars().next() {
         if c.is_ascii_whitespace() {
             i += 1;
             continue;
@@ -218,11 +220,11 @@ fn lex(input: &str) -> Result<Vec<Token>, RelationError> {
             }
             c if c.is_alphabetic() || c == '_' => {
                 let start = i;
-                // Identifiers may be dotted (qualified names like `p.Drug`).
-                while i < bytes.len() {
-                    let ch = bytes[i] as char;
+                // Identifiers may be dotted (qualified names like `p.Drug`)
+                // and may hold any Unicode letter or digit.
+                for ch in input[i..].chars() {
                     if ch.is_alphanumeric() || ch == '_' || ch == '.' {
-                        i += 1;
+                        i += ch.len_utf8();
                     } else {
                         break;
                     }
@@ -752,5 +754,24 @@ mod tests {
         }
         let e = parse(&flat).unwrap();
         assert_eq!(e.conjuncts().len(), 10_001);
+    }
+
+    /// Regression: the lexer used to cast single bytes to `char`, so a
+    /// multi-byte character ended an identifier mid-character and the
+    /// slice panicked. Unicode letters are identifier characters; any
+    /// other non-ASCII character is a typed error at its byte offset.
+    #[test]
+    fn non_ascii_input_never_panics() {
+        assert_eq!(parse("é = 1").unwrap(), col("é").eq(lit(1)));
+        assert_eq!(parse("naïve = 1").unwrap(), col("naïve").eq(lit(1)));
+        roundtrip("naïve = 1 AND é <> 'ü'");
+        for (text, position) in [("c¢= 1", 1), ("Dis£ase <> 'HIV'", 3)] {
+            match parse(text) {
+                Err(RelationError::Parse { position: p, .. }) => {
+                    assert_eq!(p, position, "{text:?}");
+                }
+                other => panic!("{text:?}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 }

@@ -37,7 +37,9 @@ pub mod table;
 
 pub use column::kernel::{filter_columnar, BoolMask, CompiledPredicate};
 pub use column::sort::sort_permutation;
-pub use column::{Column as ChunkColumn, ColumnChunk, ColumnData, ColumnarError, Dictionary};
+pub use column::{
+    Column as ChunkColumn, ColumnChunk, ColumnData, ColumnarError, Dictionary, GroupCodes,
+};
 pub use error::RelationError;
 pub use expr::{fold, BinOp, Expr, Func, Program, Vm};
 pub use index::HashIndex;

@@ -16,6 +16,8 @@
 //! Everything here is deliberately dependency-free so the whole workspace
 //! builds bottom-up from this crate.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod date;
 pub mod error;
 pub mod ids;

@@ -19,6 +19,8 @@
 //!   per version) so audit replays resolve the exact rows a journaled
 //!   delivery read.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod authz;
 pub mod cube;
 pub mod error;

@@ -20,8 +20,9 @@
 #     cache working: warm hits > 0, no warm misses, and a warm render
 #     >= 1.3x faster than a cold one;
 #   * the vectorized filter must beat the row-at-a-time engine at the
-#     largest columnar size (>= 1.2x), and the dictionary-code join and
-#     dense-code group-by must not lose to the row path;
+#     largest columnar size (>= 1.2x), and the join (streamed through the
+#     fused pipeline's dictionary-code probe into a materialize sink) and
+#     the code-slotted group-by must not lose to the row path;
 #   * the bytecode VM must beat the recursive AST walker by >= 1.5x on
 #     the 100k-row (or larger) filter and project workloads, and must
 #     never lose to it on any workload at the largest size;

@@ -8,9 +8,9 @@
 #      the end-to-end benchmark's quick tests (`bench_e2e`);
 #   3. rustfmt over every first-party package (`vendor/` is excluded —
 #      vendored sources stay byte-identical to upstream);
-#   4. clippy over all targets — the crates' own
-#      `deny(clippy::unwrap_used, clippy::expect_used)` attributes make
-#      panic paths hard errors here;
+#   4. clippy over all targets with warnings denied — and every
+#      library crate's own `deny(clippy::unwrap_used,
+#      clippy::expect_used)` attribute makes panic paths hard errors;
 #   5. the clone budget (no deep copies creeping into hot paths);
 #   6. the quick benchmark smoke with all perf gates (parallel,
 #      columnar, VM, fused pipeline, chunk cache, obs overhead, WAL).
@@ -43,7 +43,7 @@ done
 cargo fmt --check "${FMT_PKGS[@]}"
 
 echo "== clippy =="
-cargo clippy --workspace --all-targets
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== clone budget =="
 scripts/clone_budget.sh

@@ -41,15 +41,23 @@ declare -A BUDGET=(
   [crates/report/src/engine.rs]=32
   # bi-exec call sites: parallel operators must share via Arc/borrows,
   # not clone per worker. bi-exec itself moves morsel outputs, never
-  # clones. Non-test exec.rs is at 15: the columnar join/aggregate
-  # late-materialization sites clone *surviving* rows, which is the
-  # byte-identity contract, not an accident. The other 8 sites are in
-  # #[cfg(test)] oracle fixtures.
-  [crates/query/src/exec.rs]=23
+  # clones. Re-baselined 23 -> 21 when the columnar join moved into the
+  # pipeline: non-test exec.rs is at 13 (the row join and the columnar
+  # aggregate/sort clone *surviving* rows and first key cells, which is
+  # the byte-identity contract, not an accident); the other 8 sites are
+  # in #[cfg(test)] oracle fixtures.
+  [crates/query/src/exec.rs]=21
   # Fused pipeline: clones only survivors (late materialization — the
-  # emit/remap paths) and first-encountered group keys/values in the
-  # partial-aggregate states. Selection vectors, not rows, cross stages.
-  [crates/query/src/pipeline.rs]=11
+  # emit paths, now also the streamed join's build cells) and
+  # first-encountered group keys/values in the partial-aggregate
+  # states. Re-baselined 11 -> 21 when joins began streaming through
+  # it: the join's build index (one offsets copy, one key per distinct
+  # build key), a group's key codes when it opens, the output name and
+  # schema handles (Arc), a chain's op list when a computed probe side
+  # is fused on its own, and one test fixture. Selection vectors, not
+  # rows, cross stages; no per-row `Value` clone was added outside the
+  # emitted output.
+  [crates/query/src/pipeline.rs]=21
   [crates/anonymize/src/kanon.rs]=7
   [crates/anonymize/src/mondrian.rs]=6
   [crates/exec/src/lib.rs]=0

@@ -106,7 +106,7 @@ fn assert_identical(plan: &Plan, cat: &Catalog) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Multi-key join (Int + Text composite): byte-identical across the
     /// row and columnar engines at every swept thread count.

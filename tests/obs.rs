@@ -332,7 +332,7 @@ fn kanon_counters_are_thread_invariant() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Property form of the determinism contract: for random small
     /// tables and parameters, the k-anonymization snapshot at 2 and 8

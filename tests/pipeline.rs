@@ -7,13 +7,15 @@
 //! errors — at 1, 2 and 8 threads. These properties drive random
 //! Filter/Project chains under Materialize, Limit and Aggregate sinks
 //! (with NULLs, Dates, Floats and dictionary text) through both engines,
-//! and pin that PLA `FilterRows` obligations over a synthesized scenario
-//! actually execute through a fused pipeline rather than quietly falling
-//! back.
+//! stream random inner and left joins (text, Int, Int⋈Float and
+//! two-column keys, NULL and duplicate build keys) into the same sinks,
+//! and pin that PLA `FilterRows` obligations and the PLA-rewritten
+//! star-join report over a synthesized scenario actually execute through
+//! a fused pipeline rather than quietly falling back.
 
 use plabi::exec::{ExecConfig, Obs};
 use plabi::prelude::*;
-use plabi::query::{execute, execute_with};
+use plabi::query::{execute, execute_with, QueryError};
 use plabi::relation::expr::{col, lit, Expr};
 use plabi::relation::BinOp;
 use plabi::types::{Column, DataType, Schema};
@@ -286,6 +288,295 @@ proptest! {
     }
 }
 
+// ---------- streamed joins ----------
+
+/// One random row of the dimension table: (Ward, Level, Weight (halves;
+/// the flag turns a zero into `-0.0`), Opened, Label, Flag).
+type DimRow = (
+    Option<u8>,
+    Option<i64>,
+    Option<(i8, bool)>,
+    Option<(i16, u8)>,
+    Option<u8>,
+    Option<bool>,
+);
+
+fn dim_rows() -> impl Strategy<Value = Vec<DimRow>> {
+    prop::collection::vec(
+        (
+            // w6/w7 never occur on the probe side: unmatched build keys.
+            prop::option::of(0u8..8),
+            prop::option::of(-6i64..6),
+            prop::option::of((-8i8..8, any::<bool>())),
+            prop::option::of((2000i16..2004, 1u8..13)),
+            prop::option::of(0u8..4),
+            prop::option::of(any::<bool>()),
+        ),
+        0..24,
+    )
+}
+
+/// `Dim` shares the column name `Ward` with `Mixed`, so the joined
+/// schema prefixes it (`d.Ward`).
+fn dim_table(rows: &[DimRow]) -> Table {
+    let schema = Schema::new(vec![
+        Column::nullable("Ward", DataType::Text),
+        Column::nullable("Level", DataType::Int),
+        Column::nullable("Weight", DataType::Float),
+        Column::nullable("Opened", DataType::Date),
+        Column::nullable("Label", DataType::Text),
+        Column::nullable("Flag", DataType::Bool),
+    ])
+    .unwrap();
+    let data = rows
+        .iter()
+        .map(|&(w, l, wt, o, lb, f)| {
+            vec![
+                w.map(|v| Value::text(format!("w{v}")))
+                    .unwrap_or(Value::Null),
+                l.map(Value::Int).unwrap_or(Value::Null),
+                wt.map(|(v, neg)| {
+                    Value::Float(if v == 0 && neg {
+                        -0.0
+                    } else {
+                        f64::from(v) / 2.0
+                    })
+                })
+                .unwrap_or(Value::Null),
+                o.map(|(y, m)| Value::Date(Date::new(y, m, 1).unwrap()))
+                    .unwrap_or(Value::Null),
+                lb.map(|v| Value::text(format!("l{v}")))
+                    .unwrap_or(Value::Null),
+                f.map(Value::Bool).unwrap_or(Value::Null),
+            ]
+        })
+        .collect();
+    Table::from_rows("Dim", schema, data).unwrap()
+}
+
+/// Join keys: text, Int, Int⋈Float (compared in `f64` space), Float,
+/// and a two-column key.
+fn join_keys() -> impl Strategy<Value = Vec<(String, String)>> {
+    let pair = |l: &str, r: &str| (l.to_string(), r.to_string());
+    prop_oneof![
+        Just(vec![pair("Ward", "Ward")]),
+        Just(vec![pair("Age", "Level")]),
+        Just(vec![pair("Age", "Weight")]),
+        Just(vec![pair("Score", "Weight")]),
+        Just(vec![pair("Ward", "Ward"), pair("Age", "Level")]),
+    ]
+}
+
+/// Sinks over the joined schema: group keys from the probe side, the
+/// build side, or both (NULL, Date, Bool and Float ±0.0 keys included),
+/// aggregate arguments from either side, `sum(Label)` as the typed
+/// error.
+fn join_sink() -> impl Strategy<Value = SinkSpec> {
+    let agg_item = prop_oneof![
+        Just(AggItem::count_star("n")),
+        Just(AggItem::new("cl", AggFunc::Count, "Label")),
+        Just(AggItem::new("sl", AggFunc::Sum, "Level")),
+        Just(AggItem::new("sw", AggFunc::Sum, "Weight")),
+        Just(AggItem::new("as", AggFunc::Avg, "Score")),
+        Just(AggItem::new("ml", AggFunc::Min, "Label")),
+        Just(AggItem::new("mo", AggFunc::Max, "Opened")),
+        Just(AggItem::new("dw", AggFunc::CountDistinct, "Weight")),
+        Just(AggItem::new("bad", AggFunc::Sum, "Label")),
+    ];
+    let group_by = prop_oneof![
+        Just(Vec::<String>::new()),
+        Just(vec!["Ward".to_string()]),
+        Just(vec!["Label".to_string()]),
+        Just(vec!["d.Ward".to_string()]),
+        Just(vec!["Weight".to_string()]),
+        Just(vec!["Opened".to_string(), "Chronic".to_string()]),
+        Just(vec![
+            "Flag".to_string(),
+            "Label".to_string(),
+            "Admitted".to_string()
+        ]),
+    ];
+    let aggregate = (group_by, prop::collection::vec(agg_item, 1..4))
+        .prop_map(|(g, a)| SinkSpec::Aggregate(g, a));
+    prop_oneof![
+        Just(SinkSpec::Materialize),
+        (0usize..150).prop_map(SinkSpec::Limit),
+        aggregate.clone(),
+        aggregate,
+    ]
+}
+
+fn join_plan(
+    ops: &[Op],
+    left: bool,
+    build_filter: bool,
+    on: &[(String, String)],
+    sink: &SinkSpec,
+) -> Plan {
+    let probe = build_plan(ops, &SinkSpec::Materialize);
+    let build = if build_filter {
+        scan("Dim").filter(col("Label").is_null().not())
+    } else {
+        scan("Dim")
+    };
+    let joined = if left {
+        probe.left_join(build, on.to_vec(), "d")
+    } else {
+        probe.join(build, on.to_vec(), "d")
+    };
+    match sink {
+        SinkSpec::Materialize => joined,
+        SinkSpec::Limit(n) => joined.limit(*n),
+        SinkSpec::Aggregate(g, a) => joined.aggregate(g.clone(), a.clone()),
+    }
+}
+
+/// Asserts `got` is byte-identical to `expect`: rows, schema and name,
+/// or the same typed error. Rows compare by their debug rendering too,
+/// since `Value` equality cannot tell `-0.0` from `0.0`.
+fn assert_identical(
+    expect: &Result<Table, QueryError>,
+    got: &Result<Table, QueryError>,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    match (expect, got) {
+        (Ok(e), Ok(g)) => {
+            prop_assert_eq!(e.rows(), g.rows(), "{}", what);
+            prop_assert_eq!(
+                format!("{:?}", e.rows()),
+                format!("{:?}", g.rows()),
+                "{}",
+                what
+            );
+            prop_assert_eq!(e.schema(), g.schema(), "{}", what);
+            prop_assert_eq!(e.name(), g.name(), "{}", what);
+        }
+        (Err(e), Err(g)) => prop_assert_eq!(e, g, "{}", what),
+        (e, g) => {
+            return Err(TestCaseError::fail(format!(
+                "{what}: oracle {e:?} vs pipeline {g:?}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random probe chains streamed through inner and left joins into
+    /// aggregate, materialize and limit sinks: byte-identical to the
+    /// serial oracle — values, schema, row and group order, name, and
+    /// typed errors — at every thread count.
+    #[test]
+    fn streamed_join_identical_to_oracle(
+        rows in mixed_rows(),
+        dims in dim_rows(),
+        ops in prop::collection::vec(chain_op(), 0..3),
+        left in any::<bool>(),
+        build_filter in any::<bool>(),
+        on in join_keys(),
+        sink in join_sink(),
+    ) {
+        let mut cat = mixed_catalog(&rows);
+        cat.add_table(dim_table(&dims)).unwrap();
+        let plan = join_plan(&ops, left, build_filter, &on, &sink);
+        let oracle = execute(&plan, &cat);
+        for threads in THREADS {
+            let fused = execute_with(&plan, &cat, &pipeline_cfg(threads));
+            assert_identical(&oracle, &fused, &format!("threads {threads}"))?;
+        }
+    }
+}
+
+/// Many morsels: group slots merge by code across morsels in morsel
+/// order. A 9k-row probe side, grouped by build-side Float (±0.0, NULL
+/// from left-join padding), Date and text keys and by a probe Int key,
+/// at 1/2/8 threads — every result through the code-slotted sink. The
+/// `0.0` group opens with `+0.0` in the first morsel and with `-0.0` in
+/// the later ones, so the merge must keep the first morsel's key cell.
+#[test]
+fn multi_morsel_join_aggregates_match_oracle() {
+    let morsel = plabi::exec::MORSEL_ROWS as i64;
+    let rows: Vec<MixedRow> = (0..9_000i64)
+        .map(|i| {
+            (
+                (i % 13 != 0).then_some(i % 9 - 4),
+                Some(i % 7),
+                (i % 11 != 5).then_some(((i + if i < morsel { 7 } else { 1 }) % 8) as u8),
+                Some((
+                    2000 + (i % 5) as i16,
+                    1 + (i % 12) as u8,
+                    1 + (i % 27) as u8,
+                )),
+                (i % 3 != 0).then_some(i % 2 == 0),
+            )
+        })
+        .collect();
+    // Ward w0 weighs +0.0 and w1 -0.0; every other weight is non-zero.
+    let dims: Vec<DimRow> = (0..40i64)
+        .map(|i| {
+            let weight = match i % 7 {
+                0 => (0, false),
+                1 => (0, true),
+                _ => ((i % 5) as i8 + 1, false),
+            };
+            (
+                Some((i % 7) as u8),
+                (i % 5 != 0).then_some(i % 6 - 3),
+                Some(weight),
+                (i % 4 != 0).then_some((2001, 1 + (i % 12) as u8)),
+                Some((i % 3) as u8),
+                Some(i % 2 == 0),
+            )
+        })
+        .collect();
+    let mut cat = mixed_catalog(&rows);
+    cat.add_table(dim_table(&dims)).unwrap();
+    let aggs = vec![
+        AggItem::count_star("n"),
+        AggItem::new("s", AggFunc::Sum, "Level"),
+        AggItem::new("a", AggFunc::Avg, "Score"),
+        AggItem::new("mx", AggFunc::Max, "Admitted"),
+    ];
+    for group_by in [
+        vec!["Weight"],
+        vec!["Opened", "Label"],
+        vec!["d.Ward", "Age"],
+        vec!["Age"],
+    ] {
+        for left in [false, true] {
+            let on = vec![("Ward".to_string(), "Ward".to_string())];
+            let probe = scan("Mixed").filter(col("Age").ge(lit(-3)));
+            let joined = if left {
+                probe.left_join(scan("Dim"), on, "d")
+            } else {
+                probe.join(scan("Dim"), on, "d")
+            };
+            let plan = joined.aggregate(
+                group_by.iter().map(|g| g.to_string()).collect(),
+                aggs.clone(),
+            );
+            let oracle = execute(&plan, &cat);
+            assert!(oracle.is_ok(), "{group_by:?}: {oracle:?}");
+            for threads in THREADS {
+                let obs = Obs::enabled();
+                let cfg = pipeline_cfg(threads).with_obs(obs.clone());
+                let got = execute_with(&plan, &cat, &cfg);
+                assert_identical(
+                    &oracle,
+                    &got,
+                    &format!("{group_by:?} left={left} threads={threads}"),
+                )
+                .unwrap();
+                let snap = obs.snapshot();
+                assert_eq!(snap.counters.get("plan.choice.pipeline"), Some(&1));
+                assert_eq!(snap.counters.get("pipeline.fallback.error"), None);
+            }
+        }
+    }
+}
+
 // ---------- targeted behaviors ----------
 
 /// A keep-everything filter under a materialize sink shares row storage
@@ -338,6 +629,27 @@ fn unreproducible_aggregate_declines_and_matches_oracle() {
         None,
         "declined plans are not fused"
     );
+}
+
+/// `Limit 0` over a stage that can fail still evaluates every row, as
+/// the oracle's Limit does over its fully materialized input: a
+/// division by zero surfaces as the same typed error, not as an empty
+/// table.
+#[test]
+fn limit_zero_still_surfaces_stage_errors() {
+    let rows: Vec<MixedRow> = (0..20).map(|i| (Some(i), None, None, None, None)).collect();
+    let cat = mixed_catalog(&rows);
+    let plan = scan("Mixed")
+        .filter(Expr::Bin(BinOp::Div, Box::new(col("Age")), Box::new(lit(0))).ge(lit(1)))
+        .limit(0);
+    let expect = execute(&plan, &cat).unwrap_err();
+    for threads in THREADS {
+        assert_eq!(
+            execute_with(&plan, &cat, &pipeline_cfg(threads)).unwrap_err(),
+            expect,
+            "threads: {threads}"
+        );
+    }
 }
 
 /// Global aggregation over an empty (fully filtered) input still yields
@@ -495,5 +807,111 @@ fn pla_obligations_execute_through_fused_pipeline() {
             None,
             "threads {threads}: enforcement render must not need the error fallback"
         );
+    }
+}
+
+/// The paper's star-join report — drug consumption by family over
+/// `FactPrescriptions ⋈ DimDrug`, PLA-rewritten with the hospital's row
+/// restriction, pseudonym and k-threshold — streams its join through
+/// the pipeline, matches a serial render byte for byte, and a warm
+/// repeat converts nothing: every column it reads (the fact table's
+/// filter and key columns, the dimension's key and family columns)
+/// comes from the chunk cache.
+#[test]
+fn pla_star_join_report_streams_through_the_pipeline() {
+    let scenario = Scenario::generate(ScenarioConfig {
+        patients: 30,
+        prescriptions: 300,
+        lab_tests: 20,
+        ..Default::default()
+    });
+    let mut sys = BiSystem::new(Date::new(2008, 7, 1).unwrap());
+    for (sid, cat) in &scenario.sources {
+        sys.register_source(sid.clone(), cat.clone());
+    }
+    sys.add_pla_text(
+        r#"
+pla "hospital-2008" source hospital version 2 level meta-report {
+  require aggregation FactPrescriptions min 2;
+  anonymize FactPrescriptions.Patient with pseudonym;
+  restrict rows FactPrescriptions when Disease <> 'HIV';
+  purpose quality;
+}
+"#,
+    )
+    .unwrap();
+    let extract = |source: &str, table: &str, as_name: &str| EtlOp::Extract {
+        source: source.into(),
+        table: table.into(),
+        as_name: as_name.into(),
+    };
+    let load = |table: &str, warehouse_table: &str| EtlOp::Load {
+        table: table.into(),
+        warehouse_table: warehouse_table.into(),
+    };
+    let pipeline = Pipeline::new("initial")
+        .step("e-presc", extract("hospital", "Prescriptions", "p"))
+        .step("l-presc", load("p", "FactPrescriptions"))
+        .step("e-reg", extract("health-agency", "DrugRegistry", "r"))
+        .step("l-reg", load("r", "DimDrug"));
+    sys.run_etl(&pipeline, Some("quality")).unwrap();
+    sys.add_meta_report(
+        MetaReport::new(
+            "m",
+            "Prescription universe",
+            scan("FactPrescriptions").project_cols(&["Patient", "Drug", "Disease", "Date"]),
+        )
+        .approved("hospital"),
+    );
+    sys.define_report(
+        ReportSpec::new(
+            "by-family",
+            "Drug consumption by family",
+            scan("FactPrescriptions")
+                .join(scan("DimDrug"), vec![("Drug".into(), "Drug".into())], "dim")
+                .aggregate(vec!["Family".into()], vec![AggItem::count_star("N")]),
+            [RoleId::new("analyst")],
+        )
+        .for_purpose("quality"),
+    );
+    sys.subjects_mut().grant("alice@agency", "analyst");
+    let deliver = |sys: &mut BiSystem| {
+        sys.deliver(
+            &ReportId::new("by-family"),
+            &ConsumerId::new("alice@agency"),
+        )
+        .unwrap()
+        .table
+    };
+
+    sys.engine_mut().exec = ExecConfig::serial();
+    let reference = deliver(&mut sys);
+    assert!(!reference.rows().is_empty(), "families must survive k = 2");
+
+    for threads in THREADS {
+        let cfg = pipeline_cfg(threads);
+        sys.engine_mut().exec = cfg.clone();
+        // Cold (or already warm) render first; the repeat is measured.
+        assert_eq!(deliver(&mut sys).rows(), reference.rows());
+        let obs = Obs::enabled();
+        sys.engine_mut().exec = cfg.with_obs(obs.clone());
+        let warm = deliver(&mut sys);
+        assert_eq!(warm.rows(), reference.rows(), "threads: {threads}");
+        assert_eq!(warm.schema(), reference.schema(), "threads: {threads}");
+        let snap = obs.snapshot();
+        assert_eq!(
+            snap.counters.get("plan.choice.pipeline"),
+            Some(&1),
+            "threads {threads}: the star join must stream, got {:?}",
+            snap.counters
+        );
+        assert_eq!(snap.counters.get("query.op.join"), Some(&1));
+        assert_eq!(
+            snap.counters.get("chunk.cache.miss"),
+            None,
+            "threads {threads}: a warm render converts nothing, got {:?}",
+            snap.counters
+        );
+        assert!(snap.counters.get("chunk.cache.hit").copied().unwrap_or(0) >= 4);
     }
 }
