@@ -23,6 +23,8 @@
 //! * [`metrics`] — utility metrics (discernibility, average class size,
 //!   generalization precision loss) used by experiment E7.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod error;
 pub mod hierarchy;
 pub mod kanon;

@@ -317,12 +317,13 @@ fn split_parallel(
                 try_cut(p, coords, k)
             }
         });
+        // One cut per open slot, in frontier order.
         let mut cut_iter = cuts.into_iter();
         let mut next = Vec::with_capacity(frontier.len() + 1);
         for slot in frontier {
             match slot {
                 Slot::Done(p) => next.push(Slot::Done(p)),
-                Slot::Open(p) => match cut_iter.next().expect("one cut per open slot") {
+                Slot::Open(p) => match cut_iter.next().flatten() {
                     Some((lhs, rhs)) => {
                         next.push(Slot::Open(lhs));
                         next.push(Slot::Open(rhs));

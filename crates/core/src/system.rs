@@ -416,6 +416,7 @@ impl BiSystem {
             return Err(SystemError::BrokenIntegrity(ri));
         }
         let mut evicted: u64 = 0;
+        let mut logged = Vec::with_capacity(report.loaded.len());
         for (table, srcs) in &report.loaded {
             // Primary attribution for the per-table map, full attribution
             // for join-permission checks across combined tables.
@@ -426,6 +427,13 @@ impl BiSystem {
             self.table_sources_all
                 .insert(table.name().to_string(), srcs.clone());
             evicted += self.warehouse.load_table(table.clone()) as u64;
+            // Each load logs the version it made: a table loaded twice in
+            // one run replays through both versions, not the last twice.
+            logged.push(EtlTable {
+                table: table.clone(),
+                version: self.warehouse.data_version(table.name()).unwrap_or(0),
+                sources: srcs.clone(),
+            });
         }
         self.data_epoch += 1;
         if evicted > 0 {
@@ -434,17 +442,7 @@ impl BiSystem {
                 .obs
                 .add(Counter::MvccVersionsEvicted, evicted);
         }
-        self.wal_append(WalRecord::EtlCommit {
-            tables: report
-                .loaded
-                .iter()
-                .map(|(table, srcs)| EtlTable {
-                    table: table.clone(),
-                    version: self.warehouse.data_version(table.name()).unwrap_or(0),
-                    sources: srcs.clone(),
-                })
-                .collect(),
-        });
+        self.wal_append(WalRecord::EtlCommit { tables: logged });
         Ok(report)
     }
 

@@ -333,27 +333,18 @@ fn execute_step(
             column,
             expr,
         } => {
-            let t = staging.get(table, sid)?;
-            let mut items: Vec<(String, Expr)> = t
-                .schema()
-                .columns()
-                .iter()
-                .map(|c| (c.name.clone(), bi_relation::expr::col(&c.name)))
-                .collect();
-            items.push((column.clone(), expr.clone()));
-            let mut out = bi_relation::project_scalar(t, &items, cfg)?;
-            out.set_name(t.name().to_string());
+            // The step owns the staged table, so the new cells land in
+            // place unless the rows are still shared.
+            let (t, srcs) = staging.take(table, sid)?;
+            let out = bi_relation::derive_scalar(t, column, expr, cfg)?;
             rows_out = out.len();
-            let srcs = staging.sources_of(table).to_vec();
             staging.put(out, srcs);
         }
         EtlOp::Deduplicate { table } => {
-            let t = staging.get(table, sid)?;
-            let before = t.len();
+            let (t, srcs) = staging.take(table, sid)?;
             let out = t.distinct();
-            touched = before - out.len();
+            touched = t.len() - out.len();
             rows_out = out.len();
-            let srcs = staging.sources_of(table).to_vec();
             staging.put(out, srcs);
         }
         EtlOp::Join {

@@ -38,6 +38,24 @@ impl Staging {
             })
     }
 
+    /// Removes the staged table `name`, with its owning sources, so a
+    /// step can transform it and [`Staging::put`] its output back.
+    /// Holding the only handle lets copy-on-write operations update the
+    /// rows in place; storage still shared with a source catalog (right
+    /// after `Extract`) or the warehouse (after `Load`) is copied, never
+    /// mutated.
+    pub fn take(&mut self, name: &str, step: &str) -> Result<(Table, Vec<SourceId>), EtlError> {
+        let table = self
+            .tables
+            .remove(name)
+            .ok_or_else(|| EtlError::NoSuchStagingTable {
+                name: name.to_string(),
+                step: step.to_string(),
+            })?;
+        let sources = self.sources.remove(name).unwrap_or_default();
+        Ok((table, sources))
+    }
+
     /// Owning sources of a staged table (empty when unknown).
     pub fn sources_of(&self, name: &str) -> &[SourceId] {
         self.sources.get(name).map(Vec::as_slice).unwrap_or(&[])
@@ -82,5 +100,15 @@ mod tests {
         assert_eq!(s.sources_of("X"), &[SourceId::new("hospital")]);
         assert!(s.sources_of("Y").is_empty());
         assert_eq!(s.names(), vec!["X"]);
+        let (t, srcs) = s.take("X", "step").unwrap();
+        assert_eq!(t.name(), "X");
+        assert_eq!(srcs, vec![SourceId::new("hospital")]);
+        assert!(s.is_empty() && s.sources_of("X").is_empty());
+        assert!(matches!(
+            s.take("X", "step"),
+            Err(EtlError::NoSuchStagingTable { .. })
+        ));
+        s.put(t, srcs);
+        assert_eq!(s.sources_of("X"), &[SourceId::new("hospital")]);
     }
 }

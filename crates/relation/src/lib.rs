@@ -13,8 +13,8 @@
 //!   type inference, a textual parser and a round-trippable printer, and
 //!   the stack-based bytecode VM ([`expr::Program`]/[`expr::Vm`]) that
 //!   every hot evaluation path compiles through;
-//! * [`scalar`] — morsel-parallel, [`bi_exec::ExecConfig`]-aware filter
-//!   and projection over compiled programs;
+//! * [`scalar`] — morsel-parallel, [`bi_exec::ExecConfig`]-aware filter,
+//!   projection and derived column over compiled programs;
 //! * [`column`] — columnar chunks ([`column::ColumnChunk`]): typed
 //!   column vectors with validity bitmaps and dictionary-encoded text,
 //!   plus vectorized predicate kernels ([`column::kernel`]) that
@@ -43,5 +43,5 @@ pub use column::{
 pub use error::RelationError;
 pub use expr::{fold, BinOp, Expr, Func, Program, Vm};
 pub use index::HashIndex;
-pub use scalar::{filter_scalar, project_scalar, project_schema};
+pub use scalar::{derive_scalar, filter_scalar, project_scalar, project_schema};
 pub use table::{Row, Table};

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use bi_exec::{Counter, ExecConfig};
-use bi_types::Schema;
+use bi_types::{Schema, Value};
 
 use crate::error::RelationError;
 use crate::expr::{Expr, Program, Vm};
@@ -92,41 +92,90 @@ pub fn project_scalar(
     cfg: &ExecConfig,
 ) -> Result<Table, RelationError> {
     let schema = table.map_rows_schema(items)?;
-    let programs: Vec<Program> = match items
-        .iter()
-        .map(|(_, e)| Program::compile(e, table.schema()))
-        .collect::<Result<_, RelationError>>()
-    {
-        Ok(ps) => ps,
-        Err(_) => {
-            cfg.obs.count(Counter::VmFallback);
-            return table.map_rows(items);
+    let exprs: Vec<&Expr> = items.iter().map(|(_, e)| e).collect();
+    let rows = eval_rows(table, &exprs, cfg, |cell| {
+        let mut out = Vec::with_capacity(exprs.len());
+        for i in 0..exprs.len() {
+            out.push(cell(i)?);
         }
-    };
-    cfg.obs.add(Counter::VmCompile, programs.len() as u64);
-    cfg.obs.count(Counter::VmExec);
-    let chunks: Vec<Vec<Row>> =
-        bi_exec::try_par_chunks(cfg, table.rows(), bi_exec::MORSEL_ROWS, |_, rows| {
-            let mut vm = Vm::new();
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                let mut cells = Vec::with_capacity(programs.len());
-                for p in &programs {
-                    cells.push(vm.run(p, row)?);
-                }
-                out.push(cells);
-            }
-            Ok::<_, RelationError>(out)
-        })?;
-    let mut rows = Vec::with_capacity(table.len());
-    for chunk in chunks {
-        rows.extend(chunk);
-    }
+        Ok(out)
+    })?;
     Ok(Table::from_rows_trusted(
         table.name().to_string(),
         Arc::new(schema),
         rows,
     ))
+}
+
+/// Adds the computed column `column` := `expr` to `table`. The result
+/// equals [`project_scalar`] over every column of `table` followed by
+/// `(column, expr)`: the same schema (every column nullable), rows,
+/// name and first error. Only `expr` is compiled and evaluated, though,
+/// and its cells are appended copy-on-write — in place when `table`
+/// holds the only reference to its row storage.
+pub fn derive_scalar(
+    table: Table,
+    column: &str,
+    expr: &Expr,
+    cfg: &ExecConfig,
+) -> Result<Table, RelationError> {
+    let mut items: Vec<(String, Expr)> = table
+        .schema()
+        .columns()
+        .iter()
+        .map(|c| (c.name.clone(), crate::expr::col(&c.name)))
+        .collect();
+    items.push((column.to_string(), expr.clone()));
+    let schema = table.map_rows_schema(&items)?;
+    let cells = eval_rows(&table, &[expr], cfg, |cell| cell(0))?;
+    table.append_column(Arc::new(schema), cells)
+}
+
+/// One row's evaluator: `cell(i)` evaluates expression `i` on the row.
+type Cells<'a> = dyn FnMut(usize) -> Result<Value, RelationError> + 'a;
+
+/// Shared body of the projection paths: evaluates `exprs` on every row
+/// of `table`, and `emit` builds one output item per row from its
+/// cells. Each expression compiles once and runs on the scalar VM over
+/// parallel morsels; if *any* expression declines to compile, the
+/// serial walker serves the whole pass. Rows are visited in order and
+/// `emit` asks for cells in expression order, so the error returned is
+/// the serial walk's first (the lowest-indexed morsel's error wins).
+fn eval_rows<T: Send>(
+    table: &Table,
+    exprs: &[&Expr],
+    cfg: &ExecConfig,
+    emit: impl Fn(&mut Cells<'_>) -> Result<T, RelationError> + Sync,
+) -> Result<Vec<T>, RelationError> {
+    let compiled: Result<Vec<Program>, RelationError> = exprs
+        .iter()
+        .map(|e| Program::compile(e, table.schema()))
+        .collect();
+    let Ok(programs) = compiled else {
+        cfg.obs.count(Counter::VmFallback);
+        let schema = table.schema();
+        let mut out = Vec::with_capacity(table.len());
+        for row in table.rows() {
+            out.push(emit(&mut |i| exprs[i].eval(schema, row))?);
+        }
+        return Ok(out);
+    };
+    cfg.obs.add(Counter::VmCompile, programs.len() as u64);
+    cfg.obs.count(Counter::VmExec);
+    let chunks: Vec<Vec<T>> =
+        bi_exec::try_par_chunks(cfg, table.rows(), bi_exec::MORSEL_ROWS, |_, rows| {
+            let mut vm = Vm::new();
+            let mut out = Vec::with_capacity(rows.len());
+            for row in rows {
+                out.push(emit(&mut |i| vm.run(&programs[i], row))?);
+            }
+            Ok::<_, RelationError>(out)
+        })?;
+    let mut out = Vec::with_capacity(table.len());
+    for chunk in chunks {
+        out.extend(chunk);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -207,6 +256,61 @@ mod tests {
         let snap = cfg.obs.snapshot();
         assert_eq!(snap.counters.get("vm.fallback"), Some(&1));
         assert_eq!(snap.counters.get("vm.compile"), None);
+    }
+
+    /// `derive_scalar` is the projection of every column plus the new
+    /// one: same rows, schema, name and first error at any thread
+    /// count, with one program compiled instead of one per column.
+    #[test]
+    fn derive_matches_the_full_projection() {
+        let t = table(9000);
+        let items_for = |e: &Expr| {
+            let mut items: Vec<(String, Expr)> = ["k", "g"]
+                .iter()
+                .map(|c| (c.to_string(), col(*c)))
+                .collect();
+            items.push(("x".to_string(), e.clone()));
+            items
+        };
+        let double = Expr::Bin(
+            crate::expr::BinOp::Mul,
+            Box::new(col("k")),
+            Box::new(lit(2)),
+        );
+        // Divides by zero only at k = 8191 — deep in a later morsel.
+        let boom = Expr::Func(
+            crate::expr::Func::If,
+            vec![
+                col("k").eq(lit(8191)),
+                Expr::Bin(crate::expr::BinOp::Div, Box::new(lit(1)), Box::new(lit(0))),
+                lit(0.5),
+            ],
+        );
+        for threads in [1, 2, 8] {
+            let cfg = ExecConfig::with_threads(threads).with_obs(bi_exec::Obs::enabled());
+            let want = project_scalar(&t, &items_for(&double), &ExecConfig::serial()).unwrap();
+            let got = derive_scalar(t.clone(), "x", &double, &cfg).unwrap();
+            assert_eq!(got, want, "threads={threads}");
+            assert_eq!(got.schema(), want.schema());
+            assert!(!got.shares_rows_with(&t));
+            assert_eq!(cfg.obs.snapshot().counters.get("vm.compile"), Some(&1));
+            // A table it owns alone gets the cells in place.
+            let own = table(9000);
+            let storage = own.rows().as_ptr();
+            let got = derive_scalar(own, "x", &double, &cfg).unwrap();
+            assert_eq!(got.rows().as_ptr(), storage, "threads={threads}");
+            assert_eq!(got, want);
+            let want = project_scalar(&t, &items_for(&boom), &ExecConfig::serial()).unwrap_err();
+            assert_eq!(
+                derive_scalar(t.clone(), "x", &boom, &cfg).unwrap_err(),
+                want
+            );
+            // A taken name fails on the schema, as the projection does.
+            let dup = derive_scalar(t.clone(), "g", &double, &cfg).unwrap_err();
+            let mut items = items_for(&double);
+            items[2].0 = "g".to_string();
+            assert_eq!(project_scalar(&t, &items, &cfg).unwrap_err(), dup);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Named, schema-checked tables.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bi_types::{Schema, Value};
@@ -51,6 +51,20 @@ impl PartialEq for Table {
 fn next_version() -> u64 {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
     NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+}
+
+/// The debug-build check behind the constructors that trust their rows
+/// ([`Table::from_rows_trusted`], [`Table::append_column`]).
+fn debug_check_rows(schema: &Schema, rows: &[Row]) {
+    if cfg!(debug_assertions) {
+        for r in rows {
+            let checked = schema.check_row(r);
+            debug_assert!(
+                checked.is_ok(),
+                "trusted rows include an ill-typed one: {checked:?}"
+            );
+        }
+    }
 }
 
 /// Tables are shared by reference across `bi-exec` worker threads
@@ -105,14 +119,7 @@ impl Table {
         rows: Vec<Row>,
     ) -> Self {
         let schema = schema.into();
-        #[cfg(debug_assertions)]
-        for r in &rows {
-            debug_assert!(
-                schema.check_row(r).is_ok(),
-                "from_rows_trusted fed an ill-typed row: {:?}",
-                schema.check_row(r)
-            );
-        }
+        debug_check_rows(&schema, &rows);
         Table {
             name: name.into(),
             schema,
@@ -181,6 +188,37 @@ impl Table {
         // (column chunks) must stop matching this table.
         self.version = next_version();
         Ok(())
+    }
+
+    /// Appends `cells[i]` to row `i` and gives the table `schema`: this
+    /// table's columns (nullability may widen) plus one trailing column.
+    /// The cells are trusted like [`Table::from_rows_trusted`]'s rows;
+    /// debug builds check every row.
+    ///
+    /// Copy-on-write like [`Table::push_row`]: when the row storage is
+    /// shared with another table, this detaches a private copy first;
+    /// otherwise each cell is pushed onto its row in place. Either way
+    /// the result draws a new storage version, and every row keeps exact
+    /// capacity (retained MVCC versions would otherwise carry the slack).
+    pub(crate) fn append_column(
+        mut self,
+        schema: Arc<Schema>,
+        cells: Vec<Value>,
+    ) -> Result<Table, RelationError> {
+        if schema.len() != self.schema.len() + 1 || cells.len() != self.rows.len() {
+            return Err(RelationError::Internal {
+                message: "appended column does not fit the table",
+            });
+        }
+        let rows = Arc::make_mut(&mut self.rows);
+        for (row, cell) in rows.iter_mut().zip(cells) {
+            row.reserve_exact(1);
+            row.push(cell);
+        }
+        debug_check_rows(&schema, &self.rows);
+        self.schema = schema;
+        self.version = next_version();
+        Ok(self)
     }
 
     /// The cell at (`row`, column `name`).
@@ -296,18 +334,24 @@ impl Table {
     }
 
     /// Removes duplicate rows, keeping first occurrences.
+    ///
+    /// Rows are hashed as borrowed slices; only the survivors are
+    /// copied, once, and only when something was dropped — a
+    /// duplicate-free table shares its parent's storage.
     pub fn distinct(&self) -> Table {
-        let mut seen = std::collections::HashSet::new();
-        let rows: Vec<Row> = self
+        let mut seen: HashSet<&[Value]> = HashSet::with_capacity(self.rows.len());
+        let survivors: Vec<&Row> = self
             .rows
             .iter()
-            .filter(|r| seen.insert((*r).clone()))
-            .cloned()
+            .filter(|r| seen.insert(r.as_slice()))
             .collect();
-        let (rows, version) = if rows.len() == self.rows.len() {
+        let (rows, version) = if survivors.len() == self.rows.len() {
             (Arc::clone(&self.rows), self.version)
         } else {
-            (Arc::new(rows), next_version())
+            (
+                Arc::new(survivors.into_iter().cloned().collect()),
+                next_version(),
+            )
         };
         Table {
             name: self.name.clone(),
@@ -596,6 +640,37 @@ mod tests {
         let rebuilt = prescriptions();
         assert_ne!(rebuilt.storage_version(), t.storage_version());
         assert_eq!(rebuilt, t);
+    }
+
+    #[test]
+    fn append_column_is_copy_on_write() {
+        let schema = |t: &Table| {
+            let mut cols = t.schema().columns().to_vec();
+            cols.push(Column::nullable("n", DataType::Int));
+            Arc::new(Schema::new(cols).unwrap())
+        };
+        let cells = |t: &Table| (0..t.len() as i64).map(Value::Int).collect::<Vec<_>>();
+        // Shared storage is copied: the parent keeps its rows.
+        let t = prescriptions().distinct();
+        let parent = t.clone();
+        let out = t.append_column(schema(&parent), cells(&parent)).unwrap();
+        assert!(!out.shares_rows_with(&parent));
+        assert_eq!(parent, prescriptions());
+        // Sole ownership appends in place; both paths agree.
+        let own = prescriptions();
+        let (before, storage) = (own.storage_version(), own.rows().as_ptr());
+        let in_place = own.append_column(schema(&parent), cells(&parent)).unwrap();
+        assert_eq!(in_place.rows().as_ptr(), storage, "appended in place");
+        assert_ne!(in_place.storage_version(), before);
+        assert_ne!(out.storage_version(), parent.storage_version());
+        assert_eq!(in_place, out);
+        for t in [&in_place, &out] {
+            assert_eq!(t.cell(4, "n").unwrap(), &Value::Int(4));
+            assert!(t.rows().iter().all(|r| r.capacity() == 6), "exact capacity");
+        }
+        // A misfit is an error, not a panic.
+        let short = prescriptions().append_column(schema(&parent), vec![Value::Int(0)]);
+        assert!(matches!(short, Err(RelationError::Internal { .. })));
     }
 
     #[test]

@@ -98,10 +98,11 @@ impl EvolutionWorkload {
 
         let mut live: Vec<ReportId> = Vec::new();
         let mut initial = Vec::new();
+        // The universe has tables, so every random report below exists.
         for _ in 0..params.initial_reports {
             let id = fresh_id(&mut next_id);
             live.push(id.clone());
-            initial.push(random_report(id, universe, &mut rng));
+            initial.extend(random_report(id, universe, &mut rng));
         }
 
         let total_w = params.w_add + params.w_modify + params.w_remove;
@@ -114,11 +115,13 @@ impl EvolutionWorkload {
                 if roll < params.w_add || live.is_empty() {
                     let id = fresh_id(&mut next_id);
                     live.push(id.clone());
-                    events.push(EvolutionEvent::Add(random_report(id, universe, &mut rng)));
+                    events.extend(random_report(id, universe, &mut rng).map(EvolutionEvent::Add));
                 } else if roll < params.w_add + params.w_modify {
-                    let id = live.choose(&mut rng).expect("live non-empty").clone();
-                    let plan = random_plan(universe, &mut rng);
-                    events.push(EvolutionEvent::Modify(id, plan));
+                    // `live` is non-empty here: an empty one adds instead.
+                    let id = live.choose(&mut rng).cloned();
+                    if let (Some(id), Some(plan)) = (id, random_plan(universe, &mut rng)) {
+                        events.push(EvolutionEvent::Modify(id, plan));
+                    }
                 } else {
                     let i = rng.gen_range(0..live.len());
                     let id = live.remove(i);
@@ -136,25 +139,26 @@ impl EvolutionWorkload {
     }
 }
 
-fn random_report(id: ReportId, universe: &ReportUniverse, rng: &mut StdRng) -> ReportSpec {
-    let plan = random_plan(universe, rng);
+/// A random report; `None` only for a universe without tables.
+fn random_report(id: ReportId, universe: &ReportUniverse, rng: &mut StdRng) -> Option<ReportSpec> {
+    let plan = random_plan(universe, rng)?;
     let role = universe
         .roles
         .choose(rng)
         .cloned()
         .unwrap_or_else(|| RoleId::new("analyst"));
     let title = format!("Report {}", id.as_str());
-    ReportSpec::new(id, title, plan, [role])
+    Some(ReportSpec::new(id, title, plan, [role]))
 }
 
 /// Builds a random SPJA plan: 1–2 tables (joined when 2), 0–2 filters,
 /// an aggregation over 1–2 group columns with count + optional
 /// sum/avg/min/max of a measure. Always aggregated — the paper's BI
 /// reports are aggregate views, and raw row dumps would trip every
-/// aggregation-threshold PLA.
-fn random_plan(universe: &ReportUniverse, rng: &mut StdRng) -> Plan {
+/// aggregation-threshold PLA. `None` only for a universe without tables.
+fn random_plan(universe: &ReportUniverse, rng: &mut StdRng) -> Option<Plan> {
     // Pick the base table, possibly extended by one available join.
-    let base = universe.tables.choose(rng).expect("non-empty universe");
+    let base = universe.tables.choose(rng)?;
     let join = if rng.gen_bool(0.4) {
         universe
             .joins
@@ -192,17 +196,18 @@ fn random_plan(universe: &ReportUniverse, rng: &mut StdRng) -> Plan {
             .chain(joined_table.iter().flat_map(|t| t.filter_cols.iter()))
             .collect();
         if let Some((c, vals)) = pool.choose(rng) {
-            if !vals.is_empty() {
-                let pred: Expr = if vals.len() > 1 && rng.gen_bool(0.5) {
-                    let k = rng.gen_range(1..=vals.len().min(3));
-                    let mut chosen: Vec<Value> = vals.clone();
-                    chosen.shuffle(rng);
-                    chosen.truncate(k);
-                    Expr::InList(Box::new(col(c.clone())), chosen)
-                } else {
-                    let v = vals.choose(rng).expect("non-empty pool").clone();
-                    col(c.clone()).eq(Expr::Lit(v))
-                };
+            // An empty value pool draws nothing and adds no filter.
+            let pred: Option<Expr> = if vals.len() > 1 && rng.gen_bool(0.5) {
+                let k = rng.gen_range(1..=vals.len().min(3));
+                let mut chosen: Vec<Value> = vals.clone();
+                chosen.shuffle(rng);
+                chosen.truncate(k);
+                Some(Expr::InList(Box::new(col(c.clone())), chosen))
+            } else {
+                vals.choose(rng)
+                    .map(|v| col(c.clone()).eq(Expr::Lit(v.clone())))
+            };
+            if let Some(pred) = pred {
                 plan = plan.filter(pred);
             }
         }
@@ -230,13 +235,16 @@ fn random_plan(universe: &ReportUniverse, rng: &mut StdRng) -> Plan {
         .chain(joined_table.iter().flat_map(|t| t.measure_cols.iter()))
         .collect();
     if !measure_pool.is_empty() && rng.gen_bool(0.6) {
-        let m = measure_pool.choose(rng).expect("non-empty").as_str();
-        let func = *[AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max]
-            .choose(rng)
-            .expect("non-empty");
-        aggs.push(AggItem::new(format!("{}_{}", func.name(), m), func, m));
+        const FUNCS: [AggFunc; 4] = [AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max];
+        if let (Some(m), Some(&func)) = (measure_pool.choose(rng), FUNCS.choose(rng)) {
+            aggs.push(AggItem::new(
+                format!("{}_{}", func.name(), m),
+                func,
+                m.as_str(),
+            ));
+        }
     }
-    plan.aggregate(groups, aggs)
+    Some(plan.aggregate(groups, aggs))
 }
 
 #[cfg(test)]

@@ -22,6 +22,8 @@
 //! * [`evolve`] — a seeded report-evolution workload (add / modify /
 //!   retire reports over epochs), the driver for experiment E5.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod comply;
 pub mod engine;
 pub mod error;

@@ -32,7 +32,13 @@ declare -A BUDGET=(
   [crates/core/src/render_cache.rs]=0
   # Enforcement key: built from owned parts, compared structurally.
   [crates/pla/src/fingerprint.rs]=0
-  [crates/etl/src/pipeline.rs]=24
+  # ETL runner. 24 -> 22 when Derive stopped building one `col(c)`
+  # projection item per existing column: it now hands the owned staged
+  # table to `derive_scalar`, which appends the new cells in place.
+  [crates/etl/src/pipeline.rs]=22
+  # Staging: the table name is cloned once to key both maps; tables
+  # move in and out by value (`take` then `put`), never by copy.
+  [crates/etl/src/staging.rs]=1
   # +2 for RenderOutcome::to_result: a shared render hands each group
   # member an owned EnforcedReport/violation list — that copy is the
   # per-consumer API contract; the cross-consumer sharing is the Arc
@@ -65,6 +71,13 @@ declare -A BUDGET=(
   # vectors; kernels must operate on codes/primitives, never on Values.
   [crates/relation/src/column/mod.rs]=2
   [crates/relation/src/column/kernel.rs]=6
+  # Table: a derived table clones only the cells it keeps — each
+  # survivor of a filter or distinct once (and only when a row was
+  # dropped; otherwise the storage is shared), projected, sorted and
+  # unioned cells, first-seen group keys — plus its owned name. Non-test
+  # code is at 13; the other 4 sites are test fixtures. `distinct` used
+  # to clone every row into its hash set and every survivor again.
+  [crates/relation/src/table.rs]=17
   # Chunk cache: one Arc clone on hit, one on insert — cache paths must
   # never deep-copy column data.
   [crates/relation/src/column/cache.rs]=2

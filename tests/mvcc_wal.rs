@@ -513,6 +513,78 @@ fn recovery_survives_identity_reload() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Regression: one ETL run that loads the same warehouse table twice
+/// makes two data versions, and the WAL must log each load with the
+/// version it made. Logging the run's final version for both loads
+/// made recovery refuse the log ("logged 2 replayed as 1").
+#[test]
+fn recovery_replays_a_table_loaded_twice_in_one_run() {
+    let path = temp_path("double-load");
+    let scenario = Scenario::generate(ScenarioConfig {
+        patients: 16,
+        prescriptions: 60,
+        lab_tests: 0,
+        ..Default::default()
+    });
+    let mut sys = BiSystem::new(today());
+    sys.enable_wal(&path).unwrap();
+    for (sid, cat) in scenario.sources {
+        sys.register_source(sid, cat);
+    }
+    let twice = Pipeline::new("twice")
+        .step(
+            "e",
+            EtlOp::Extract {
+                source: "hospital".into(),
+                table: "Prescriptions".into(),
+                as_name: "s".into(),
+            },
+        )
+        .step(
+            "l1",
+            EtlOp::Load {
+                table: "s".into(),
+                warehouse_table: "FactPrescriptions".into(),
+            },
+        )
+        .step(
+            "d",
+            EtlOp::Derive {
+                table: "s".into(),
+                column: "Batch".into(),
+                expr: lit(7),
+            },
+        )
+        .step(
+            "l2",
+            EtlOp::Load {
+                table: "s".into(),
+                warehouse_table: "FactPrescriptions".into(),
+            },
+        );
+    sys.run_etl(&twice, Some("quality")).unwrap();
+    assert_eq!(sys.warehouse().data_version("FactPrescriptions"), Some(2));
+    let live: Vec<(u64, Table)> = (1..=2)
+        .map(|v| {
+            let t = sys.warehouse().table_at("FactPrescriptions", v).unwrap();
+            (v, t.clone())
+        })
+        .collect();
+    assert!(!live[0].1.schema().contains("Batch"));
+    assert!(live[1].1.schema().contains("Batch"));
+    drop(sys);
+
+    let rec = BiSystem::recover(&path).unwrap();
+    assert_eq!(rec.warehouse().data_version("FactPrescriptions"), Some(2));
+    for (v, table) in &live {
+        let got = rec.warehouse().table_at("FactPrescriptions", *v).unwrap();
+        assert_eq!(got, table, "version {v} recovers its own rows");
+        assert_eq!(got.schema(), table.schema());
+    }
+    drop(rec);
+    let _ = std::fs::remove_file(&path);
+}
+
 /// The WAL frame checksum (FNV-1a 64), recomputed here so a test can
 /// hand the payload decoder corrupt bytes that pass the checksum.
 fn fnv1a(bytes: &[u8]) -> u64 {
