@@ -16,16 +16,16 @@
 //! ([`SnapshotFidelity::FellBackToCurrent`]) so an enforcement bug is
 //! never misattributed as drift — or vice versa — silently.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use bi_obs::TraceId;
-use bi_pla::{check_plan, CombinedPolicy, Violation};
-use bi_query::{Catalog, QueryError};
+use bi_pla::{CheckProgram, CombinedPolicy, Violation};
+use bi_query::{Catalog, Plan, QueryError};
 use bi_relation::Table;
 use bi_types::SourceId;
 
-use crate::log::{AuditLog, Outcome};
+use crate::log::AuditLog;
 
 /// How faithfully a recheck reproduced one side (policy or data) of the
 /// conditions that served a delivery.
@@ -139,6 +139,19 @@ pub fn catalog_at_versions(
     }
 }
 
+/// The conditions an entry was journaled under: its policy epoch and
+/// its sorted `(table, data version)` pairs.
+type ConditionsKey<'e> = (u64, &'e [(String, u64)]);
+
+/// The shared half of rechecking every entry journaled under one
+/// [`ConditionsKey`]: the overlay catalog, its data fidelity, and each
+/// distinct plan's compiled check.
+struct Conditions<'e> {
+    catalog: Option<Catalog>,
+    data_snapshot: SnapshotFidelity,
+    programs: Vec<(&'e Plan, CheckProgram)>,
+}
+
 /// Replays all deliveries against the policy epoch *and the data
 /// versions* each entry was journaled under: full time travel.
 ///
@@ -149,6 +162,13 @@ pub fn catalog_at_versions(
 /// storage is overlaid from the resolver; unresolvable versions (and
 /// entries journaled without versions) fall back to current data,
 /// flagged on the finding's `data_snapshot`.
+///
+/// Entries journaled under the same policy epoch and data versions
+/// share one overlay catalog (one resolver call per table), and each
+/// distinct plan among them compiles its [`CheckProgram`] once; the
+/// program still runs per entry, with that entry's roles, purpose and
+/// date. Nothing is kept between calls. Findings, and the first error,
+/// are those of checking every entry on its own in journal order.
 pub fn recheck_log_at_versions(
     log: &AuditLog,
     cat: &Catalog,
@@ -157,27 +177,36 @@ pub fn recheck_log_at_versions(
     table_source: &BTreeMap<String, SourceId>,
     resolve: &VersionResolver<'_>,
 ) -> Result<Vec<AuditFinding>, QueryError> {
+    let mut groups: HashMap<ConditionsKey<'_>, Conditions<'_>> = HashMap::new();
     let mut findings = Vec::new();
-    for e in log.entries() {
-        if !matches!(e.outcome, Outcome::Delivered { .. }) {
-            continue;
-        }
+    for e in log.deliveries() {
         let (policy, policy_snapshot) = match snapshots.get(&e.provenance.policy_epoch) {
             Some(p) => (&**p, SnapshotFidelity::Exact),
             None => (current, SnapshotFidelity::FellBackToCurrent),
         };
-        let (versioned, data_snapshot) =
-            catalog_at_versions(cat, &e.provenance.source_versions, resolve);
-        let entry_cat = versioned.as_ref().unwrap_or(cat);
-        let outcome = check_plan(
-            &e.plan,
-            entry_cat,
-            policy,
-            &e.roles,
-            table_source,
-            e.purpose.as_deref(),
-            e.when,
-        )?;
+        let versions = e.provenance.source_versions.as_slice();
+        let group = groups
+            .entry((e.provenance.policy_epoch, versions))
+            .or_insert_with(|| {
+                let (catalog, data_snapshot) = catalog_at_versions(cat, versions, resolve);
+                Conditions {
+                    catalog,
+                    data_snapshot,
+                    programs: Vec::new(),
+                }
+            });
+        let at = match group.programs.iter().position(|(p, _)| **p == e.plan) {
+            Some(at) => at,
+            None => {
+                let entry_cat = group.catalog.as_ref().unwrap_or(cat);
+                let program = CheckProgram::compile(&e.plan, entry_cat, policy, table_source)?;
+                group.programs.push((&e.plan, program));
+                group.programs.len() - 1
+            }
+        };
+        let outcome = group.programs[at]
+            .1
+            .run(&e.roles, e.purpose.as_deref(), e.when)?;
         if !outcome.violations.is_empty() {
             findings.push(AuditFinding {
                 seq: e.seq,
@@ -186,7 +215,7 @@ pub fn recheck_log_at_versions(
                 policy_epoch: e.provenance.policy_epoch,
                 violations: outcome.violations,
                 policy_snapshot,
-                data_snapshot,
+                data_snapshot: group.data_snapshot,
             });
         }
     }
@@ -196,7 +225,7 @@ pub fn recheck_log_at_versions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::Provenance;
+    use crate::log::{Outcome, Provenance};
     use bi_pla::{PlaDocument, PlaLevel, PlaRule};
     use bi_query::plan::scan;
     use bi_types::{Column, ConsumerId, DataType, Date, ReportId, RoleId, Schema};

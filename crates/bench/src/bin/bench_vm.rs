@@ -11,6 +11,12 @@
 //! identical output and writing `BENCH_vm.json` for
 //! `scripts/bench_smoke.sh`.
 //!
+//! Walker and VM are timed in alternating back-to-back pairs (as
+//! `bench_wal` times WAL off/on): each op's `speedup` is the median of
+//! the per-pair ratios and `ast_ms`/`vm_ms` are medians, so host drift
+//! between samples moves both sides instead of the ratio. The columnar
+//! time is best-of-N.
+//!
 //! Usage: `cargo run --release -p bi-bench --bin bench_vm --
 //! [--full] [--out PATH]`. `--full` adds a 1M-row size.
 
@@ -70,6 +76,60 @@ fn time_best<T>(iters: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, out)
 }
 
+/// Wall time in milliseconds of one call of `f`, plus its output.
+fn time_ms<T>(f: &mut impl FnMut() -> T) -> (f64, T) {
+    let t0 = Instant::now();
+    let out = f();
+    (t0.elapsed().as_secs_f64() * 1e3, out)
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Median walker and VM times, the median of the per-pair ratios, and
+/// the last output of each side.
+struct Paired<A, B> {
+    ast_ms: f64,
+    vm_ms: f64,
+    speedup: f64,
+    ast_out: A,
+    vm_out: B,
+}
+
+/// Times walker and VM in `pairs` back-to-back pairs, alternating which
+/// side runs first, so host drift hits both sides alike instead of
+/// landing between two blocks of samples.
+fn time_pairs<A, B>(
+    pairs: usize,
+    mut ast: impl FnMut() -> A,
+    mut vm: impl FnMut() -> B,
+) -> Paired<A, B> {
+    let (mut ast_out, mut vm_out) = (ast(), vm()); // untimed warm-up
+    let (mut ast_ms, mut vm_ms, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs.max(1) {
+        let (a, v) = if pair % 2 == 0 {
+            let a = time_ms(&mut ast);
+            (a, time_ms(&mut vm))
+        } else {
+            let v = time_ms(&mut vm);
+            (time_ms(&mut ast), v)
+        };
+        ast_ms.push(a.0);
+        vm_ms.push(v.0);
+        ratios.push(a.0 / v.0);
+        (ast_out, vm_out) = (a.1, v.1);
+    }
+    Paired {
+        ast_ms: median(ast_ms),
+        vm_ms: median(vm_ms),
+        speedup: median(ratios),
+        ast_out,
+        vm_out,
+    }
+}
+
 /// The retained recursive walker, run row by row — the legacy path
 /// every filter took before the VM, kept as the baseline and oracle.
 fn ast_filter(t: &Table, pred: &Expr) -> Table {
@@ -106,8 +166,14 @@ struct OpResult {
     op: &'static str,
     ast_ms: f64,
     vm_ms: f64,
+    /// Median of the per-pair walker/VM ratios.
+    speedup: f64,
     columnar_ms: Option<f64>,
 }
+
+/// Walker/VM pairs per op at sizes below 1M rows (3 at 1M). Odd, so the
+/// median is one measured pair.
+const PAIRS: usize = 9;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -176,17 +242,20 @@ fn main() {
     for &rows in sizes {
         let t = fact(rows);
         let iters = if rows >= 1_000_000 { 2 } else { 5 };
+        let pairs = if rows >= 1_000_000 { 3 } else { PAIRS };
         let mut op_entries = Vec::new();
 
         let mut results: Vec<OpResult> = Vec::new();
         for (op, pred) in [("filter", &filter_pred), ("obligation", &obligation_pred)] {
-            let (ast_ms, ast_out) = time_best(iters, || ast_filter(&t, pred));
-            let (vm_ms, vm_out) = time_best(iters, || {
-                filter_scalar(&t, pred, &cfg).expect("bench filter executes")
-            });
+            let p = time_pairs(
+                pairs,
+                || ast_filter(&t, pred),
+                || filter_scalar(&t, pred, &cfg).expect("bench filter executes"),
+            );
+            let ast_out = p.ast_out;
             assert_eq!(
                 ast_out.rows(),
-                vm_out.rows(),
+                p.vm_out.rows(),
                 "{op}@{rows}: VM diverges from the walker"
             );
             let columnar_ms = filter_columnar(&t, pred, &col_cfg).map(|first| {
@@ -203,31 +272,33 @@ fn main() {
             });
             results.push(OpResult {
                 op,
-                ast_ms,
-                vm_ms,
+                ast_ms: p.ast_ms,
+                vm_ms: p.vm_ms,
+                speedup: p.speedup,
                 columnar_ms,
             });
         }
         {
-            let (ast_ms, ast_out) = time_best(iters, || ast_project(&t, &project_items));
-            let (vm_ms, vm_out) = time_best(iters, || {
-                project_scalar(&t, &project_items, &cfg).expect("bench projection executes")
-            });
+            let p = time_pairs(
+                pairs,
+                || ast_project(&t, &project_items),
+                || project_scalar(&t, &project_items, &cfg).expect("bench projection executes"),
+            );
             assert_eq!(
-                ast_out.as_slice(),
-                vm_out.rows(),
+                p.ast_out.as_slice(),
+                p.vm_out.rows(),
                 "project@{rows}: VM diverges from the walker"
             );
             results.push(OpResult {
                 op: "project",
-                ast_ms,
-                vm_ms,
+                ast_ms: p.ast_ms,
+                vm_ms: p.vm_ms,
+                speedup: p.speedup,
                 columnar_ms: None,
             });
         }
 
         for r in results {
-            let speedup = r.ast_ms / r.vm_ms;
             let col_txt = r
                 .columnar_ms
                 .map(|ms| format!("  columnar {ms:8.2} ms"))
@@ -237,6 +308,7 @@ fn main() {
                 op = r.op,
                 ast = r.ast_ms,
                 vm = r.vm_ms,
+                speedup = r.speedup,
             );
             let col_json = r
                 .columnar_ms
@@ -247,10 +319,11 @@ fn main() {
                 op = r.op,
                 ast = r.ast_ms,
                 vm = r.vm_ms,
+                speedup = r.speedup,
             ));
         }
         size_entries.push(format!(
-            r#"{{"rows":{rows},"ops":[{}]}}"#,
+            r#"{{"rows":{rows},"pairs":{pairs},"ops":[{}]}}"#,
             op_entries.join(",")
         ));
     }

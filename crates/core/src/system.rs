@@ -1390,7 +1390,12 @@ impl BiSystem {
                 }
             }
         }
-        sys.next_trace = sys.next_trace.max(max_trace + 1);
+        // The next trace id must be fresh; a journaled id of `u64::MAX`
+        // leaves none to issue.
+        let after_max = max_trace.checked_add(1).ok_or_else(|| WalError::Replay {
+            message: format!("journaled trace id {max_trace} leaves no fresh trace id"),
+        })?;
+        sys.next_trace = sys.next_trace.max(after_max);
         // Resume logging where the valid prefix ends, truncating any
         // torn tail the reader skipped.
         sys.wal = Some(WalWriter::append_at(path, readout.valid_len)?);

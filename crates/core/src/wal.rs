@@ -26,6 +26,17 @@
 //! `u8` tag. Plans and expressions encode their full tree; decode is
 //! depth-bounded so corrupt bytes cannot blow the stack.
 //!
+//! Table payloads (format 2) are dictionary-coded: after the row count
+//! comes a `u32` dictionary length and the table's distinct text-cell
+//! strings in first-appearance order; each text cell is then a `u32`
+//! code into that dictionary. A decoded table holds one shared
+//! `Arc<str>` per distinct string. The dictionary is per table, so
+//! every frame still decodes on its own — the property torn-tail
+//! resumption ([`WalWriter::append_at`]) relies on. Text inside plans,
+//! expressions, journal entries and names stays length-prefixed.
+//! Format 1 logs (per-cell strings) are refused as an unsupported
+//! version.
+//!
 //! ## Durability level
 //!
 //! [`WalWriter::append`] flushes userspace buffers (`flush`) but does
@@ -34,10 +45,12 @@
 //! logging overhead within the benchmark budget (`bench_wal` gates it);
 //! a deployment wanting full durability would fsync on a timer.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use bi_audit::{AuditEntry, Outcome, Provenance};
 use bi_exec::TraceId;
@@ -50,7 +63,7 @@ use bi_types::{Column, ConsumerId, DataType, Date, ReportId, RoleId, Schema, Sou
 /// 8-byte file magic.
 pub const MAGIC: &[u8; 8] = b"PLABIWAL";
 /// On-disk format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 /// Header length in bytes (magic + format version).
 pub const HEADER_LEN: u64 = 12;
 /// Frame overhead per record (length + checksum).
@@ -252,15 +265,36 @@ fn put_schema(out: &mut Vec<u8>, s: &Schema) {
     }
 }
 
+/// Writes a table: name, schema, row count, the dictionary of its
+/// distinct text cells (first-appearance order), then the rows with
+/// every text cell as a `u32` dictionary code. The cells are coded in
+/// one pass into a side buffer, since the dictionary precedes them.
 fn put_table(out: &mut Vec<u8>, t: &Table) {
     put_str(out, t.name());
     put_schema(out, t.schema());
     put_u64(out, t.rows().len() as u64);
-    for row in t.rows() {
-        for v in row {
-            put_value(out, v);
+    let mut codes: HashMap<&str, u32> = HashMap::new();
+    let mut dict: Vec<&str> = Vec::new();
+    let mut cells = Vec::new();
+    for v in t.rows().iter().flatten() {
+        match v {
+            Value::Text(s) => {
+                let next = dict.len() as u32;
+                let code = *codes.entry(s).or_insert_with(|| {
+                    dict.push(s);
+                    next
+                });
+                put_u8(&mut cells, 4);
+                put_u32(&mut cells, code);
+            }
+            other => put_value(&mut cells, other),
         }
     }
+    put_u32(out, dict.len() as u32);
+    for s in dict {
+        put_str(out, s);
+    }
+    out.extend_from_slice(&cells);
 }
 
 fn binop_tag(op: BinOp) -> u8 {
@@ -636,10 +670,15 @@ impl<'a> Cur<'a> {
         Ok(i16::from_le_bytes([b[0], b[1]]))
     }
 
-    fn str(&mut self) -> DecodeResult<String> {
+    /// A length-prefixed string, borrowed from the payload.
+    fn str_ref(&mut self) -> DecodeResult<&'a str> {
         let n = self.u32()? as usize;
         let b = self.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| "invalid utf-8".to_string())
+        std::str::from_utf8(b).map_err(|_| "invalid utf-8".to_string())
+    }
+
+    fn str(&mut self) -> DecodeResult<String> {
+        Ok(self.str_ref()?.to_owned())
     }
 
     fn opt_str(&mut self) -> DecodeResult<Option<String>> {
@@ -658,12 +697,17 @@ impl<'a> Cur<'a> {
     }
 
     fn value(&mut self) -> DecodeResult<Value> {
-        match self.u8()? {
+        let tag = self.u8()?;
+        self.value_tagged(tag)
+    }
+
+    fn value_tagged(&mut self, tag: u8) -> DecodeResult<Value> {
+        match tag {
             0 => Ok(Value::Null),
             1 => Ok(Value::Bool(self.u8()? != 0)),
             2 => Ok(Value::Int(self.i64()?)),
             3 => Ok(Value::Float(f64::from_bits(self.u64()?))),
-            4 => Ok(Value::text(self.str()?)),
+            4 => Ok(Value::text(self.str_ref()?)),
             5 => Ok(Value::Date(self.date()?)),
             t => Err(format!("bad value tag {t}")),
         }
@@ -696,16 +740,37 @@ impl<'a> Cur<'a> {
         Schema::new(cols).map_err(|e| format!("bad schema: {e}"))
     }
 
+    /// A table cell: a [`Cur::value`] except that text is a code into
+    /// the table's dictionary, resolved by sharing its `Arc<str>`.
+    fn cell(&mut self, dict: &[Arc<str>]) -> DecodeResult<Value> {
+        match self.u8()? {
+            4 => {
+                let code = self.u32()?;
+                dict.get(code as usize)
+                    .map(|s| Value::Text(Arc::clone(s)))
+                    .ok_or_else(|| format!("text code {code} past a dictionary of {}", dict.len()))
+            }
+            tag => self.value_tagged(tag),
+        }
+    }
+
     fn table(&mut self) -> DecodeResult<Table> {
         let name = self.str()?;
         let schema = self.schema()?;
         let width = schema.len();
         let n = self.u64()? as usize;
+        // Every dictionary entry takes at least its 4-byte length, which
+        // bounds the capacity a garbage count can reserve.
+        let d = self.u32()? as usize;
+        let mut dict: Vec<Arc<str>> = Vec::with_capacity(d.min((self.buf.len() - self.pos) / 4));
+        for _ in 0..d {
+            dict.push(Arc::from(self.str_ref()?));
+        }
         let mut rows = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             let mut row = Vec::with_capacity(width);
             for _ in 0..width {
-                row.push(self.value()?);
+                row.push(self.cell(&dict)?);
             }
             rows.push(row);
         }

@@ -22,6 +22,9 @@
 //!   morsels and return the error of the *lowest-indexed* failing morsel,
 //!   matching what the serial loop would have reported first.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 pub use bi_obs::{Counter, Obs, ObsSnapshot, Span, SpanKind, SpanStat, TraceId};
@@ -236,46 +239,9 @@ where
     U: Send,
     F: Fn(usize, &[T]) -> U + Sync,
 {
-    let morsel = morsel.max(1);
-    let n_morsels = items.len().div_ceil(morsel);
-    let workers = cfg.workers_for(n_morsels);
-    if workers <= 1 {
-        return items
-            .chunks(morsel)
-            .enumerate()
-            .map(|(i, c)| f(i * morsel, c))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<U>> = std::iter::repeat_with(|| None).take(n_morsels).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local: Vec<(usize, U)> = Vec::new();
-                    loop {
-                        let m = next.fetch_add(1, Ordering::Relaxed);
-                        if m >= n_morsels {
-                            break;
-                        }
-                        let start = m * morsel;
-                        let end = (start + morsel).min(items.len());
-                        local.push((m, f(start, &items[start..end])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            // A worker can only fail by panicking inside `f`; re-raise.
-            for (m, u) in h.join().expect("bi-exec worker panicked") {
-                out[m] = Some(u);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|o| o.expect("every morsel claimed exactly once"))
-        .collect()
+    par_ranges(cfg, items.len(), morsel, |start, end| {
+        f(start, &items[start..end])
+    })
 }
 
 /// Fallible [`par_chunks`]: the first error (by morsel index, matching
@@ -292,114 +258,26 @@ where
     E: Send,
     F: Fn(usize, &[T]) -> Result<U, E> + Sync,
 {
-    let morsel = morsel.max(1);
-    let n_morsels = items.len().div_ceil(morsel);
-    let workers = cfg.workers_for(n_morsels);
-    if workers <= 1 {
-        return items
-            .chunks(morsel)
-            .enumerate()
-            .map(|(i, c)| f(i * morsel, c))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let mut out: Vec<Option<U>> = std::iter::repeat_with(|| None).take(n_morsels).collect();
-    let mut first_err: Option<(usize, E)> = None;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local: Vec<(usize, U)> = Vec::new();
-                    let mut err: Option<(usize, E)> = None;
-                    while !failed.load(Ordering::Relaxed) {
-                        let m = next.fetch_add(1, Ordering::Relaxed);
-                        if m >= n_morsels {
-                            break;
-                        }
-                        let start = m * morsel;
-                        let end = (start + morsel).min(items.len());
-                        match f(start, &items[start..end]) {
-                            Ok(u) => local.push((m, u)),
-                            Err(e) => {
-                                err = Some((m, e));
-                                failed.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                    (local, err)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (local, err) = h.join().expect("bi-exec worker panicked");
-            for (m, u) in local {
-                out[m] = Some(u);
-            }
-            if let Some((m, e)) = err {
-                if first_err.as_ref().is_none_or(|(fm, _)| m < *fm) {
-                    first_err = Some((m, e));
-                }
-            }
-        }
-    });
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-    Ok(out
-        .into_iter()
-        .map(|o| o.expect("no error, so every morsel completed"))
-        .collect())
+    try_par_ranges(cfg, items.len(), morsel, |start, end| {
+        f(start, &items[start..end])
+    })
 }
 
 /// Applies `f` to contiguous index ranges `[start, end)` of a
 /// `len`-element domain, returning one output per range **in range
 /// order**. The columnar twin of [`par_chunks`]: when the data lives in
 /// column vectors rather than a row slice, morsels are ranges into the
-/// chunk, not sub-slices of rows. Workers claim ranges from a shared
-/// counter exactly as in [`par_chunks`], so determinism and ordering
-/// guarantees are identical.
+/// chunk, not sub-slices of rows. Scheduled by [`try_par_ranges`], so
+/// determinism and ordering guarantees are identical.
 pub fn par_ranges<U, F>(cfg: &ExecConfig, len: usize, morsel: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize, usize) -> U + Sync,
 {
-    let morsel = morsel.max(1);
-    let n_morsels = len.div_ceil(morsel);
-    let workers = cfg.workers_for(n_morsels);
-    if workers <= 1 {
-        return (0..n_morsels)
-            .map(|m| f(m * morsel, ((m + 1) * morsel).min(len)))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<U>> = std::iter::repeat_with(|| None).take(n_morsels).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local: Vec<(usize, U)> = Vec::new();
-                    loop {
-                        let m = next.fetch_add(1, Ordering::Relaxed);
-                        if m >= n_morsels {
-                            break;
-                        }
-                        local.push((m, f(m * morsel, ((m + 1) * morsel).min(len))));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            for (m, u) in h.join().expect("bi-exec worker panicked") {
-                out[m] = Some(u);
-            }
-        }
+    let Ok(out) = try_par_ranges(cfg, len, morsel, |start, end| {
+        Ok::<U, Infallible>(f(start, end))
     });
-    out.into_iter()
-        .map(|o| o.expect("every range claimed exactly once"))
-        .collect()
+    out
 }
 
 /// Fallible [`par_ranges`]: the first error (by range index, matching
@@ -408,6 +286,13 @@ where
 /// range is one morsel pushed through every chained operator, and the
 /// lowest-index error discipline keeps fused errors deterministic at
 /// any thread count.
+///
+/// This is the crate's one scheduler; every other helper is a view of
+/// it. Workers claim range indices from a shared counter in increasing
+/// order, so when range `m` fails every lower range has been claimed and
+/// runs to completion: the lowest failing index is always observed. A
+/// worker panic is re-raised on the caller's thread with its original
+/// payload once every worker has stopped.
 pub fn try_par_ranges<U, E, F>(
     cfg: &ExecConfig,
     len: usize,
@@ -421,15 +306,19 @@ where
 {
     let morsel = morsel.max(1);
     let n_morsels = len.div_ceil(morsel);
+    let range = |m: usize| (m * morsel, ((m + 1) * morsel).min(len));
     let workers = cfg.workers_for(n_morsels);
     if workers <= 1 {
         return (0..n_morsels)
-            .map(|m| f(m * morsel, ((m + 1) * morsel).min(len)))
+            .map(|m| {
+                let (start, end) = range(m);
+                f(start, end)
+            })
             .collect();
     }
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
-    let mut out: Vec<Option<U>> = std::iter::repeat_with(|| None).take(n_morsels).collect();
+    let mut done: Vec<(usize, U)> = Vec::with_capacity(n_morsels);
     let mut first_err: Option<(usize, E)> = None;
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
@@ -442,7 +331,8 @@ where
                         if m >= n_morsels {
                             break;
                         }
-                        match f(m * morsel, ((m + 1) * morsel).min(len)) {
+                        let (start, end) = range(m);
+                        match f(start, end) {
                             Ok(u) => local.push((m, u)),
                             Err(e) => {
                                 err = Some((m, e));
@@ -456,10 +346,10 @@ where
             })
             .collect();
         for h in handles {
-            let (local, err) = h.join().expect("bi-exec worker panicked");
-            for (m, u) in local {
-                out[m] = Some(u);
-            }
+            // A worker fails only by panicking inside `f`; the scope
+            // joins the others before the panic leaves it.
+            let (local, err) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            done.extend(local);
             if let Some((m, e)) = err {
                 if first_err.as_ref().is_none_or(|(fm, _)| m < *fm) {
                     first_err = Some((m, e));
@@ -470,10 +360,9 @@ where
     if let Some((_, e)) = first_err {
         return Err(e);
     }
-    Ok(out
-        .into_iter()
-        .map(|o| o.expect("no error, so every range completed"))
-        .collect())
+    // No error, so every range completed exactly once.
+    done.sort_unstable_by_key(|(m, _)| *m);
+    Ok(done.into_iter().map(|(_, u)| u).collect())
 }
 
 /// Morsel width that keeps `workers × 8` morsels in flight for
@@ -624,6 +513,28 @@ mod tests {
             assert_eq!(ok.unwrap(), serial, "threads={threads}");
             let none: Result<Vec<usize>, ()> = try_par_ranges(&cfg, 0, 64, |s, _| Ok(s));
             assert!(none.unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    fn worker_panics_keep_their_payload() {
+        for threads in [1, 2, 8] {
+            // Pinned: exercise real workers even on single-core hosts.
+            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true);
+            let caught = std::panic::catch_unwind(|| {
+                par_ranges(&cfg, 1000, 64, |s, _| {
+                    if s == 512 {
+                        std::panic::panic_any(s);
+                    }
+                    s
+                })
+            });
+            let payload = caught.unwrap_err();
+            assert_eq!(
+                payload.downcast_ref::<usize>(),
+                Some(&512),
+                "threads={threads}"
+            );
         }
     }
 

@@ -85,10 +85,16 @@ declare -A BUDGET=(
   # Audit replay: rebuilding the as-delivered catalog clones the Catalog
   # map (tables inside share rows by Arc) and re-journals one report
   # handle per finding; policy snapshots arrive by Arc, never deep-
-  # copied. The other 4 sites are test fixtures.
+  # copied. The grouped recheck builds that catalog once per (policy
+  # epoch, data versions) group and borrows each group's compiled check
+  # programs per entry — a program is never cloned. The other 4 sites
+  # are test fixtures.
   [crates/audit/src/recheck.rs]=6
   # WAL: records are encoded from borrowed data; the only clones are a
-  # plan handed to two round-trip test fixtures.
+  # plan handed to two round-trip test fixtures. The table decoder
+  # shares each dictionary string into its text cells with
+  # `Arc::clone` (a reference count, no bytes), which this count does
+  # not match.
   [crates/core/src/wal.rs]=2
   # MVCC history: retains Tables by Arc-backed clone; all 4 grep hits
   # are test fixtures sharing one fixture table across versions.

@@ -656,3 +656,296 @@ proptest! {
         }
     }
 }
+
+/// A journaled trace id of `u64::MAX` leaves recovery no fresh id to
+/// issue next: it must refuse the log, not overflow (a debug-build
+/// panic, or a wrap to 0 that re-issues ids the journal holds).
+#[test]
+fn recovery_refuses_a_trace_id_with_no_successor() {
+    use plabi::audit::{AuditEntry, Outcome, Provenance, TraceId};
+    let path = temp_path("trace-max");
+    {
+        let mut w = plabi::WalWriter::create(&path).unwrap();
+        w.append(&plabi::WalRecord::Init { today: today() })
+            .unwrap();
+        w.append(&plabi::WalRecord::Delivery {
+            entry: AuditEntry {
+                seq: 0,
+                when: today(),
+                consumer: ConsumerId::new("a0"),
+                roles: [RoleId::new("analyst")].into_iter().collect(),
+                report: ReportId::new("r"),
+                plan: scan("T"),
+                purpose: None,
+                actions: vec![],
+                outcome: Outcome::Delivered {
+                    rows: 1,
+                    suppressed_groups: 0,
+                },
+                provenance: Provenance::new(1, TraceId::new(u64::MAX)),
+            },
+        })
+        .unwrap();
+    }
+    let recovered = BiSystem::recover(&path);
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        matches!(recovered, Err(WalError::Replay { .. })),
+        "expected a replay error, got {:?}",
+        recovered.map(|s| s.audit_log().entries().len())
+    );
+}
+
+/// A log written under format 1 (per-cell strings) is not readable as
+/// format 2: it is refused as corrupt, not misread as torn.
+#[test]
+fn format_1_logs_are_refused() {
+    let mut bytes = reference_wal().0.clone();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let path = temp_path("format-1");
+    std::fs::write(&path, &bytes).unwrap();
+    let read = plabi::read_wal(&path);
+    let recovered = BiSystem::recover(&path);
+    let _ = std::fs::remove_file(&path);
+    assert!(matches!(read, Err(WalError::Corrupt { offset: 8, .. })));
+    assert!(matches!(
+        recovered,
+        Err(WalError::Corrupt { offset: 8, .. })
+    ));
+}
+
+/// Texts that stress the dictionary: empty, non-ASCII, and few enough
+/// that cells repeat.
+const TEXTS: [&str; 6] = ["", "HIV", "Flu", "é", "日本語", "🙂 x"];
+
+/// A small deterministic generator for cell contents.
+struct Cells(u64);
+
+impl Cells {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+}
+
+/// A table of `width` columns (every type, nullable or not) and `rows`
+/// rows. With `distinct`, every text cell differs from every other.
+fn codec_table(idx: usize, width: usize, rows: usize, seed: u64, distinct: bool) -> Table {
+    use plabi::types::{Column, DataType, Schema};
+    let mut g = Cells(seed | 1);
+    let cols: Vec<Column> = (0..width)
+        .map(|c| {
+            let dtype = match g.next() % 5 {
+                0 => DataType::Int,
+                1 => DataType::Float,
+                2 => DataType::Bool,
+                3 => DataType::Date,
+                _ => DataType::Text,
+            };
+            if g.next().is_multiple_of(2) {
+                Column::nullable(format!("c{c}"), dtype)
+            } else {
+                Column::new(format!("c{c}"), dtype)
+            }
+        })
+        .collect();
+    let data: Vec<Vec<Value>> = (0..rows)
+        .map(|r| {
+            cols.iter()
+                .enumerate()
+                .map(|(c, col)| {
+                    let x = g.next();
+                    if col.nullable && x.is_multiple_of(5) {
+                        return Value::Null;
+                    }
+                    match col.dtype {
+                        DataType::Int => Value::Int(match x % 4 {
+                            0 => i64::MIN,
+                            1 => i64::MAX,
+                            _ => (x >> 3) as i64,
+                        }),
+                        DataType::Float => Value::Float(match x % 6 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            2 => f64::NAN,
+                            // A NaN with a payload (and either sign).
+                            3 => f64::from_bits(0x7ff0_0000_0000_0001 | (x >> 12) | (x << 63)),
+                            4 => f64::NEG_INFINITY,
+                            _ => (x >> 11) as f64 / 7.0,
+                        }),
+                        DataType::Bool => Value::Bool(x.is_multiple_of(2)),
+                        DataType::Date => Value::Date(
+                            Date::new(
+                                1900 + (x % 200) as i16,
+                                1 + (x % 12) as u8,
+                                1 + (x % 28) as u8,
+                            )
+                            .unwrap(),
+                        ),
+                        DataType::Text => {
+                            let t = TEXTS[(x % TEXTS.len() as u64) as usize];
+                            if distinct {
+                                Value::text(format!("{t}·{r}·{c}"))
+                            } else {
+                                Value::text(t)
+                            }
+                        }
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    Table::from_rows(format!("T{idx}"), Schema::new(cols).unwrap(), data).unwrap()
+}
+
+/// Row contents with Float cells by bit pattern, so ±0.0 and NaN
+/// payloads compare exactly.
+fn cell_bits(t: &Table) -> Vec<Vec<String>> {
+    t.rows()
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|v| match v {
+                    Value::Float(x) => format!("F{:016x}", x.to_bits()),
+                    other => format!("{other:?}"),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The tables a decoded record carries.
+fn record_tables(rec: &plabi::WalRecord) -> Vec<&Table> {
+    match rec {
+        plabi::WalRecord::RegisterSource { tables, .. } => tables.iter().collect(),
+        plabi::WalRecord::EtlCommit { tables } => tables.iter().map(|t| &t.table).collect(),
+        _ => vec![],
+    }
+}
+
+/// Byte offset of the dictionary length in the payload of a
+/// `RegisterSource` record holding the single table `t`: record tag,
+/// source id, table count, table name, schema, row count.
+fn dictionary_offset(source: &str, t: &Table) -> usize {
+    let schema: usize = t
+        .schema()
+        .columns()
+        .iter()
+        .map(|c| 4 + c.name.len() + 2)
+        .sum();
+    1 + (4 + source.len()) + 4 + (4 + t.name().len()) + (4 + schema) + 8
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Format 2 table codec: random tables inside `RegisterSource` and
+    /// `EtlCommit` records round-trip exactly; equal text cells of one
+    /// decoded table share one allocation; and hostile dictionaries —
+    /// a code past the end, a truncated dictionary, a length of
+    /// `u32::MAX` — come back as decode errors, never panics.
+    #[test]
+    fn prop_table_codec_round_trips_and_rejects_bad_dictionaries(
+        shapes in prop::collection::vec((1usize..6, 0usize..12, any::<u64>(), any::<bool>()), 1..4),
+        etl in any::<bool>(),
+    ) {
+        use plabi::core::wal::EtlTable;
+        use plabi::WalRecord;
+        let tables: Vec<Table> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(w, r, seed, distinct))| codec_table(i, w, r, seed, distinct))
+            .collect();
+        let rec = if etl {
+            WalRecord::EtlCommit {
+                tables: tables
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| EtlTable {
+                        table: t.clone(),
+                        version: i as u64 + 1,
+                        sources: vec![SourceId::new("hospital")],
+                    })
+                    .collect(),
+            }
+        } else {
+            WalRecord::RegisterSource { source: SourceId::new("hospital"), tables: tables.clone() }
+        };
+        let back = WalRecord::decode(&rec.encode()).unwrap();
+        let got = record_tables(&back);
+        prop_assert_eq!(got.len(), tables.len());
+        for (g, t) in got.iter().zip(&tables) {
+            prop_assert_eq!(g.name(), t.name());
+            prop_assert_eq!(g.schema(), t.schema());
+            prop_assert_eq!(cell_bits(g), cell_bits(t));
+            // One shared string per distinct text within a table.
+            let texts: Vec<&std::sync::Arc<str>> = g
+                .rows()
+                .iter()
+                .flatten()
+                .filter_map(|v| match v {
+                    Value::Text(s) => Some(s),
+                    _ => None,
+                })
+                .collect();
+            for a in &texts {
+                for b in &texts {
+                    if a == b {
+                        prop_assert!(std::sync::Arc::ptr_eq(a, b), "equal text {:?} decoded twice", a);
+                    }
+                }
+            }
+        }
+        if let WalRecord::EtlCommit { tables: decoded } = &back {
+            let versions: Vec<u64> = decoded.iter().map(|t| t.version).collect();
+            prop_assert_eq!(versions, (1..=tables.len() as u64).collect::<Vec<_>>());
+        }
+
+        // Hostile dictionaries, on the first table alone.
+        let t = &tables[0];
+        let payload = WalRecord::RegisterSource {
+            source: SourceId::new("hospital"),
+            tables: vec![t.clone()],
+        }
+        .encode();
+        let at = dictionary_offset("hospital", t);
+        let dict_len = u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
+        let mut huge = payload.clone();
+        huge[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        prop_assert!(WalRecord::decode(&huge).is_err(), "dictionary length u32::MAX decoded");
+        // Walk the dictionary, then the cells to the first text code.
+        let mut pos = at + 4;
+        for _ in 0..dict_len {
+            let n = u32::from_le_bytes(payload[pos..pos + 4].try_into().unwrap()) as usize;
+            pos += 4 + n;
+        }
+        let dict_end = pos;
+        for cut in (at + 4..dict_end).step_by(3) {
+            prop_assert!(WalRecord::decode(&payload[..cut]).is_err(), "dictionary cut at {} decoded", cut);
+        }
+        let mut first_code = None;
+        while pos < payload.len() {
+            let tag = payload[pos];
+            if tag == 4 {
+                first_code = Some(pos + 1);
+                break;
+            }
+            pos += 1 + match tag {
+                0 => 0,
+                1 => 1,
+                2 | 3 => 8,
+                5 => 4,
+                t => panic!("unexpected cell tag {t}"),
+            };
+        }
+        if let Some(code_at) = first_code {
+            for code in [dict_len, dict_len + 1, u32::MAX] {
+                let mut bad = payload.clone();
+                bad[code_at..code_at + 4].copy_from_slice(&code.to_le_bytes());
+                prop_assert!(WalRecord::decode(&bad).is_err(), "text code {} of {} decoded", code, dict_len);
+            }
+        }
+    }
+}
