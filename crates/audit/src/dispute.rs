@@ -108,7 +108,9 @@ mod tests {
             log.record(
                 Date::new(2008, 6, 1).unwrap(),
                 ConsumerId::new("alice"),
-                [RoleId::new("analyst")].into_iter().collect(),
+                [RoleId::new("analyst")]
+                    .into_iter()
+                    .collect::<std::collections::BTreeSet<_>>(),
                 ReportId::new(id),
                 plan,
                 None,

@@ -1,6 +1,7 @@
 //! The append-only audit journal.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use bi_obs::TraceId;
 use bi_pla::Violation;
@@ -37,8 +38,9 @@ pub struct Provenance {
     /// Data versions are warehouse-assigned and deterministic per
     /// workload (first load = 1), so the vector is byte-comparable
     /// across processes and survives WAL recovery. Empty for entries
-    /// journaled outside a live engine.
-    pub source_versions: Vec<(String, u64)>,
+    /// journaled outside a live engine. Shared: every entry served by
+    /// one render points at that render's vector.
+    pub source_versions: Arc<[(String, u64)]>,
 }
 
 impl Provenance {
@@ -46,7 +48,7 @@ impl Provenance {
         Self {
             policy_epoch,
             trace,
-            source_versions: Vec::new(),
+            source_versions: Arc::default(),
         }
     }
 
@@ -55,7 +57,7 @@ impl Provenance {
     pub fn with_sources(mut self, mut source_versions: Vec<(String, u64)>) -> Self {
         source_versions.sort();
         source_versions.dedup();
-        self.source_versions = source_versions;
+        self.source_versions = source_versions.into();
         self
     }
 }
@@ -69,6 +71,12 @@ impl Default for Provenance {
 }
 
 /// One journal entry.
+///
+/// The facts a render decided — the effective roles, the plan, the
+/// enforcement actions and the source versions — are shared by `Arc`:
+/// every entry journaled from one render (a batch group, or a cached
+/// render served again) points at the same allocations, so an entry
+/// costs what belongs to its consumer. Equality compares by value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditEntry {
     /// Monotone sequence number (assigned by the log).
@@ -76,13 +84,13 @@ pub struct AuditEntry {
     /// Business date of the delivery.
     pub when: Date,
     pub consumer: ConsumerId,
-    pub roles: BTreeSet<RoleId>,
+    pub roles: Arc<BTreeSet<RoleId>>,
     pub report: ReportId,
     /// The exact plan that ran (auditors re-check it later).
-    pub plan: Plan,
+    pub plan: Arc<Plan>,
     pub purpose: Option<String>,
     /// Enforcement actions applied by the engine.
-    pub actions: Vec<String>,
+    pub actions: Arc<[String]>,
     pub outcome: Outcome,
     /// Policy epoch + trace id of the serving engine.
     pub provenance: Provenance,
@@ -101,17 +109,19 @@ impl AuditLog {
         Self::default()
     }
 
-    /// Appends an entry, assigning its sequence number.
+    /// Appends an entry, assigning its sequence number. The shared
+    /// fields take owned values or the `Arc`s of a render that serves
+    /// several entries.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
         when: Date,
         consumer: ConsumerId,
-        roles: BTreeSet<RoleId>,
+        roles: impl Into<Arc<BTreeSet<RoleId>>>,
         report: ReportId,
-        plan: Plan,
+        plan: impl Into<Arc<Plan>>,
         purpose: Option<String>,
-        actions: Vec<String>,
+        actions: impl Into<Arc<[String]>>,
         outcome: Outcome,
         provenance: Provenance,
     ) -> u64 {
@@ -121,11 +131,11 @@ impl AuditLog {
             seq,
             when,
             consumer,
-            roles,
+            roles: roles.into(),
             report,
-            plan,
+            plan: plan.into(),
             purpose,
-            actions,
+            actions: actions.into(),
             outcome,
             provenance,
         });
@@ -181,7 +191,9 @@ mod tests {
         log.record(
             Date::new(2008, 6, 1).unwrap(),
             ConsumerId::new(consumer),
-            [RoleId::new("analyst")].into_iter().collect(),
+            [RoleId::new("analyst")]
+                .into_iter()
+                .collect::<BTreeSet<_>>(),
             ReportId::new(report),
             scan("T"),
             Some("quality".into()),

@@ -139,7 +139,9 @@ mod tests {
         log.record(
             Date::new(2008, 7, 1).unwrap(),
             ConsumerId::new(consumer),
-            [RoleId::new("analyst")].into_iter().collect(),
+            [RoleId::new("analyst")]
+                .into_iter()
+                .collect::<std::collections::BTreeSet<_>>(),
             ReportId::new(report),
             scan("T"),
             None,

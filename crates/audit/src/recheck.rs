@@ -184,7 +184,7 @@ pub fn recheck_log_at_versions(
             Some(p) => (&**p, SnapshotFidelity::Exact),
             None => (current, SnapshotFidelity::FellBackToCurrent),
         };
-        let versions = e.provenance.source_versions.as_slice();
+        let versions = &e.provenance.source_versions[..];
         let group = groups
             .entry((e.provenance.policy_epoch, versions))
             .or_insert_with(|| {
@@ -195,12 +195,19 @@ pub fn recheck_log_at_versions(
                     programs: Vec::new(),
                 }
             });
-        let at = match group.programs.iter().position(|(p, _)| **p == e.plan) {
+        let plan: &Plan = &e.plan;
+        // Entries served by one render share their plan, so pointer
+        // equality settles most lookups before a structural compare.
+        let at = match group
+            .programs
+            .iter()
+            .position(|(p, _)| std::ptr::eq(*p, plan) || **p == *plan)
+        {
             Some(at) => at,
             None => {
                 let entry_cat = group.catalog.as_ref().unwrap_or(cat);
-                let program = CheckProgram::compile(&e.plan, entry_cat, policy, table_source)?;
-                group.programs.push((&e.plan, program));
+                let program = CheckProgram::compile(plan, entry_cat, policy, table_source)?;
+                group.programs.push((plan, program));
                 group.programs.len() - 1
             }
         };
@@ -249,7 +256,9 @@ mod tests {
         log.record(
             Date::new(2008, 1, 1).unwrap(),
             ConsumerId::new("alice"),
-            [RoleId::new("analyst")].into_iter().collect(),
+            [RoleId::new("analyst")]
+                .into_iter()
+                .collect::<std::collections::BTreeSet<_>>(),
             ReportId::new("r1"),
             scan("T").project_cols(&["Patient"]),
             None,
@@ -263,7 +272,9 @@ mod tests {
         log.record(
             Date::new(2008, 1, 2).unwrap(),
             ConsumerId::new("alice"),
-            [RoleId::new("analyst")].into_iter().collect(),
+            [RoleId::new("analyst")]
+                .into_iter()
+                .collect::<std::collections::BTreeSet<_>>(),
             ReportId::new("r2"),
             scan("T").project_cols(&["Drug"]),
             None,
@@ -362,7 +373,9 @@ mod tests {
         log.record(
             Date::new(2008, 1, 1).unwrap(),
             ConsumerId::new("alice"),
-            [RoleId::new("analyst")].into_iter().collect(),
+            [RoleId::new("analyst")]
+                .into_iter()
+                .collect::<std::collections::BTreeSet<_>>(),
             ReportId::new("r1"),
             scan("T").project_cols(&["Patient"]),
             None,
@@ -467,7 +480,9 @@ mod tests {
         log.record(
             Date::new(2008, 1, 1).unwrap(),
             ConsumerId::new("bob"),
-            [RoleId::new("analyst")].into_iter().collect(),
+            [RoleId::new("analyst")]
+                .into_iter()
+                .collect::<std::collections::BTreeSet<_>>(),
             ReportId::new("r3"),
             scan("T"),
             None,

@@ -93,7 +93,9 @@ fn bench(c: &mut Criterion) {
         log.record(
             Date::new(2008, 7, 1).unwrap(),
             ConsumerId::new("ada"),
-            [RoleId::new("analyst")].into_iter().collect(),
+            [RoleId::new("analyst")]
+                .into_iter()
+                .collect::<std::collections::BTreeSet<_>>(),
             ReportId::new(format!("r{i}")),
             plan,
             None,

@@ -148,17 +148,17 @@ mod tests {
     use std::collections::BTreeSet;
 
     fn rendered(report: &str) -> Arc<RenderedDelivery> {
-        Arc::new(RenderedDelivery {
-            report: Arc::new(bi_report::ReportSpec::new(
+        Arc::new(RenderedDelivery::new(
+            Arc::new(bi_report::ReportSpec::new(
                 report,
                 report,
                 scan("T"),
                 [RoleId::new("analyst")],
             )),
-            effective: BTreeSet::new(),
-            outcome: RenderOutcome::Refused(vec![]),
-            source_versions: vec![("T".into(), 7)],
-        })
+            Arc::default(),
+            RenderOutcome::Refused(vec![]),
+            vec![("T".into(), 7)],
+        ))
     }
 
     fn key(report: &str, epoch: u64, version: u64) -> EnforcementKey {

@@ -12,14 +12,20 @@
 //! member, and the per-consumer journal entries are appended afterwards
 //! in request order, exactly as a serial loop would have.
 //!
+//! Grouping works on borrowed state: a request is first looked up by
+//! its report id and the consumer's held role set, both borrowed, and
+//! only the first sighting of such a pair computes an effective set and
+//! a key. A warm request therefore costs a slot and a member index.
+//!
 //! Grouping is pure bookkeeping over resolved state — it takes closures
 //! for resolution, role lookup and key computation so it stays
 //! unit-testable without a full [`crate::system::BiSystem`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use bi_pla::EnforcementKey;
+use bi_query::Plan;
 use bi_report::{RenderOutcome, ReportSpec};
 use bi_types::{ConsumerId, ReportId, RoleId};
 
@@ -27,13 +33,54 @@ use bi_types::{ConsumerId, ReportId, RoleId};
 /// Produced under `&self`, shareable across every request in its
 /// equivalence group (and across batches via the render cache), and
 /// consumed — by reference — by the serialized journal append.
+///
+/// The facts a journal entry records about the render are built here,
+/// once, and every member's entry shares them by `Arc`.
 pub(crate) struct RenderedDelivery {
     pub report: Arc<ReportSpec>,
-    pub effective: BTreeSet<RoleId>,
+    pub effective: Arc<BTreeSet<RoleId>>,
     pub outcome: RenderOutcome,
-    /// Sorted `(base table, warehouse data version)` pairs the render
-    /// read — journaled as the data half of each member's provenance.
-    pub source_versions: Vec<(String, u64)>,
+    /// The report's plan, as journaled.
+    pub plan: Arc<Plan>,
+    /// Enforcement actions: the delivered report's `applied` list (the
+    /// same allocation), empty for a refusal.
+    pub actions: Arc<[String]>,
+    /// Sorted, deduplicated `(base table, warehouse data version)`
+    /// pairs the render read — journaled as the data half of each
+    /// member's provenance.
+    pub source_versions: Arc<[(String, u64)]>,
+}
+
+impl RenderedDelivery {
+    pub fn new(
+        report: Arc<ReportSpec>,
+        effective: Arc<BTreeSet<RoleId>>,
+        outcome: RenderOutcome,
+        mut source_versions: Vec<(String, u64)>,
+    ) -> Self {
+        source_versions.sort();
+        source_versions.dedup();
+        let actions = match &outcome {
+            RenderOutcome::Delivered(enforced) => Arc::clone(&enforced.applied),
+            RenderOutcome::Refused(_) => Arc::default(),
+        };
+        RenderedDelivery {
+            plan: Arc::new(report.plan.clone()),
+            report,
+            effective,
+            outcome,
+            actions,
+            source_versions: source_versions.into(),
+        }
+    }
+}
+
+/// The effective role set the gate sees: the consumer's held roles
+/// intersected with the report's declared distribution list. The whole
+/// enforcement pipeline depends on the consumer only through this set —
+/// which is what makes renders shareable.
+pub(crate) fn effective_roles(held: &BTreeSet<RoleId>, report: &ReportSpec) -> BTreeSet<RoleId> {
+    held.intersection(&report.consumers).cloned().collect()
 }
 
 /// Where a request landed after grouping.
@@ -50,7 +97,7 @@ pub(crate) enum Slot {
 /// shares the same render.
 pub(crate) struct Group {
     pub report: Arc<ReportSpec>,
-    pub effective: BTreeSet<RoleId>,
+    pub effective: Arc<BTreeSet<RoleId>>,
     /// `None` when sharing is off or the key could not be computed
     /// (plan errors): the group is solo and never touches the cache.
     pub key: Option<EnforcementKey>,
@@ -68,15 +115,20 @@ pub(crate) struct GroupedBatch {
 /// Folds `requests` into enforcement-equivalence groups.
 ///
 /// * `resolve` — report id → spec (`None` = unknown report);
-/// * `roles_of` — consumer → held roles (the effective set is the
-///   intersection with the report's declared consumers, computed here
-///   so every caller agrees with the gate);
+/// * `roles_of` — consumer → held roles, borrowed (the effective set is
+///   the intersection with the report's declared consumers, computed
+///   here so every caller agrees with the gate);
 /// * `key_of` — report + effective roles → [`EnforcementKey`], `None`
 ///   when the key cannot be computed (the request renders solo).
 ///
+/// Requests for the same report by consumers holding equal role sets
+/// join one group without recomputing anything. A first sighting whose
+/// key equals an existing group's key joins that group too, so held
+/// sets that differ but meet the distribution list alike still share.
+///
 /// With `share` off every request gets its own key-less group — the
 /// unshared baseline renders exactly like the old per-request fan-out.
-pub(crate) fn group_requests<R, L, K>(
+pub(crate) fn group_requests<'r, R, L, K>(
     requests: &[(ReportId, ConsumerId)],
     share: bool,
     mut resolve: R,
@@ -85,52 +137,52 @@ pub(crate) fn group_requests<R, L, K>(
 ) -> GroupedBatch
 where
     R: FnMut(&ReportId) -> Option<Arc<ReportSpec>>,
-    L: FnMut(&ConsumerId) -> BTreeSet<RoleId>,
+    L: FnMut(&ConsumerId) -> &'r BTreeSet<RoleId>,
     K: FnMut(&ReportSpec, &BTreeSet<RoleId>) -> Option<EnforcementKey>,
 {
     let mut slots = Vec::with_capacity(requests.len());
     let mut groups: Vec<Group> = Vec::new();
+    let mut seen: HashMap<(&ReportId, &BTreeSet<RoleId>), usize> = HashMap::new();
     let mut by_key: BTreeMap<EnforcementKey, usize> = BTreeMap::new();
     for (i, (id, consumer)) in requests.iter().enumerate() {
+        let held = roles_of(consumer);
+        if let Some(&gi) = seen.get(&(id, held)) {
+            groups[gi].members.push(i);
+            slots.push(Slot::Group(gi));
+            continue;
+        }
         let Some(report) = resolve(id) else {
             slots.push(Slot::Unknown);
             continue;
         };
-        let roles = roles_of(consumer);
-        let effective: BTreeSet<RoleId> = roles.intersection(&report.consumers).cloned().collect();
+        let effective = effective_roles(held, &report);
         let key = if share {
             key_of(&report, &effective)
         } else {
             None
         };
-        let gi = match key {
-            Some(k) => {
-                if let Some(&gi) = by_key.get(&k) {
-                    groups[gi].members.push(i);
-                    gi
-                } else {
-                    let gi = groups.len();
-                    by_key.insert(k.clone(), gi);
-                    groups.push(Group {
-                        report,
-                        effective,
-                        key: Some(k),
-                        members: vec![i],
-                    });
-                    gi
-                }
+        let gi = match key.as_ref().and_then(|k| by_key.get(k)) {
+            Some(&gi) => {
+                groups[gi].members.push(i);
+                gi
             }
             None => {
                 let gi = groups.len();
+                if let Some(k) = &key {
+                    by_key.insert(k.clone(), gi);
+                }
                 groups.push(Group {
                     report,
-                    effective,
-                    key: None,
+                    effective: Arc::new(effective),
+                    key,
                     members: vec![i],
                 });
                 gi
             }
         };
+        if groups[gi].key.is_some() {
+            seen.insert((id, held), gi);
+        }
         slots.push(Slot::Group(gi));
     }
     GroupedBatch { slots, groups }
@@ -139,6 +191,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bi_pla::SubjectRegistry;
     use bi_query::plan::scan;
 
     fn spec(id: &str, roles: &[&str]) -> Arc<ReportSpec> {
@@ -160,24 +213,37 @@ mod tests {
         ))
     }
 
-    fn run(requests: &[(ReportId, ConsumerId)], share: bool) -> GroupedBatch {
+    /// Consumers hold the roles their name spells (`analyst+manager-1`
+    /// holds analyst and manager); `nobody-*` and `x` are unknown.
+    fn registry(requests: &[(ReportId, ConsumerId)]) -> SubjectRegistry {
+        let mut reg = SubjectRegistry::new();
+        for (_, c) in requests {
+            for role in ["analyst", "auditor", "manager"] {
+                if c.as_str().contains(role) {
+                    reg.grant(c.as_str(), role);
+                }
+            }
+        }
+        reg
+    }
+
+    fn run_keyed<K>(requests: &[(ReportId, ConsumerId)], share: bool, key_of: K) -> GroupedBatch
+    where
+        K: FnMut(&ReportSpec, &BTreeSet<RoleId>) -> Option<EnforcementKey>,
+    {
         let specs = [spec("a", &["analyst"]), spec("b", &["analyst", "auditor"])];
+        let reg = registry(requests);
         group_requests(
             requests,
             share,
             |id| specs.iter().find(|s| &s.id == id).map(Arc::clone),
-            |c| {
-                let mut roles = BTreeSet::new();
-                if c.as_str().starts_with("analyst") {
-                    roles.insert(RoleId::new("analyst"));
-                }
-                if c.as_str().starts_with("auditor") {
-                    roles.insert(RoleId::new("auditor"));
-                }
-                roles
-            },
-            key,
+            |c| reg.roles_of(c),
+            key_of,
         )
+    }
+
+    fn run(requests: &[(ReportId, ConsumerId)], share: bool) -> GroupedBatch {
+        run_keyed(requests, share, key)
     }
 
     fn req(id: &str, c: &str) -> (ReportId, ConsumerId) {
@@ -230,6 +296,55 @@ mod tests {
             true,
         );
         assert_eq!(g.groups.len(), 2);
+        assert_eq!(g.groups[0].members, vec![0, 1]);
+        assert!(g.groups[0].effective.is_empty());
+    }
+
+    #[test]
+    fn different_held_roles_with_equal_effective_roles_share() {
+        // Report "a" goes to analysts only: holding manager or auditor
+        // as well changes nothing the gate sees.
+        let requests = [
+            req("a", "analyst-1"),
+            req("a", "analyst+manager-1"),
+            req("a", "analyst+auditor-1"),
+            req("a", "analyst+manager-2"),
+        ];
+        let g = run(&requests, true);
+        assert_eq!(g.groups.len(), 1);
+        assert_eq!(g.groups[0].members, vec![0, 1, 2, 3]);
+        assert_eq!(
+            *g.groups[0].effective,
+            [RoleId::new("analyst")]
+                .into_iter()
+                .collect::<BTreeSet<_>>()
+        );
+    }
+
+    #[test]
+    fn keyless_reports_render_solo_per_request() {
+        let requests = [
+            req("a", "analyst-1"),
+            req("a", "analyst-1"),
+            req("a", "analyst-1"),
+        ];
+        let g = run_keyed(&requests, true, |_, _| None);
+        assert_eq!(g.groups.len(), 3);
+        assert_eq!(
+            g.slots,
+            vec![Slot::Group(0), Slot::Group(1), Slot::Group(2)]
+        );
+        assert!(g
+            .groups
+            .iter()
+            .all(|gr| gr.key.is_none() && gr.members.len() == 1));
+    }
+
+    #[test]
+    fn unknown_consumers_share_one_group() {
+        let requests = [req("a", "nobody-1"), req("a", "nobody-2")];
+        let g = run(&requests, true);
+        assert_eq!(g.groups.len(), 1);
         assert_eq!(g.groups[0].members, vec![0, 1]);
         assert!(g.groups[0].effective.is_empty());
     }

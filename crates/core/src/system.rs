@@ -631,15 +631,6 @@ impl BiSystem {
         Ok(result)
     }
 
-    /// The effective role set the gate sees: the consumer's held roles
-    /// intersected with the report's declared distribution list. The
-    /// whole enforcement pipeline depends on the consumer only through
-    /// this set — which is what makes renders shareable.
-    fn effective_roles(&self, report: &ReportSpec, consumer: &ConsumerId) -> BTreeSet<RoleId> {
-        let roles = self.subjects.roles_of(consumer);
-        roles.intersection(&report.consumers).cloned().collect()
-    }
-
     /// Everything [`BiSystem::deliver`] does short of the journal append:
     /// gate, enforce, render. Takes `&self`, an explicit policy snapshot
     /// and a pre-computed effective role set — never the consumer's
@@ -653,7 +644,7 @@ impl BiSystem {
     fn render_one(
         &self,
         report: &Arc<ReportSpec>,
-        effective: &BTreeSet<RoleId>,
+        effective: &Arc<BTreeSet<RoleId>>,
         policy: &CombinedPolicy,
         snap: &WarehouseSnapshot,
     ) -> Result<RenderedDelivery, SystemError> {
@@ -690,73 +681,74 @@ impl BiSystem {
         // errors (unknown tables, bad plans) are not deliveries and
         // bypass the journal, exactly as before.
         let outcome = RenderOutcome::from_result(result).map_err(SystemError::Report)?;
-        Ok(RenderedDelivery {
-            report: Arc::clone(report),
-            effective: effective.clone(),
+        // The data half of the provenance: the pinned *data* versions of
+        // every base table this render (or refusal) read. Deliberately
+        // not the raw storage versions — those are process-unique
+        // allocation ids (fine for the in-process render-cache key,
+        // useless in a durable journal): data versions replay
+        // identically across processes and after WAL recovery. Version
+        // 0 marks a table the warehouse never loaded (a view or a raw
+        // catalog write); a recheck of such an entry falls back,
+        // flagged, to current data.
+        let source_versions = bi_query::source_versions(&report.plan, cat)
+            .map(|v| {
+                v.into_iter()
+                    .map(|(name, _)| {
+                        let version = snap.data_version(&name);
+                        (name, version)
+                    })
+                    .collect()
+            })
+            .unwrap_or_default();
+        Ok(RenderedDelivery::new(
+            Arc::clone(report),
+            Arc::clone(effective),
             outcome,
-            // The data half of the provenance: the pinned *data*
-            // versions of every base table this render (or refusal)
-            // read. Deliberately not the raw storage versions — those
-            // are process-unique allocation ids (fine for the in-process
-            // render-cache key, useless in a durable journal): data
-            // versions replay identically across processes and after
-            // WAL recovery. Version 0 marks a table the warehouse never
-            // loaded (a view or a raw catalog write); a recheck of such
-            // an entry falls back, flagged, to current data.
-            source_versions: bi_query::source_versions(&report.plan, cat)
-                .map(|v| {
-                    v.into_iter()
-                        .map(|(name, _)| {
-                            let version = snap.data_version(&name);
-                            (name, version)
-                        })
-                        .collect()
-                })
-                .unwrap_or_default(),
-        })
+            source_versions,
+        ))
     }
 
     /// Appends one rendered delivery (or refusal) to the audit journal,
     /// handing the per-consumer result back to the caller. Borrows the
     /// render: a shared outcome is journaled once per group member, each
-    /// under its own consumer and trace id.
+    /// under its own consumer and trace id, and every member's entry
+    /// shares the render's roles, plan, actions and source versions.
     fn journal_delivery(
         &mut self,
         consumer: &ConsumerId,
         trace: TraceId,
         rendered: &RenderedDelivery,
     ) -> Result<EnforcedReport, bi_report::ReportError> {
-        let obs = self.engine.exec.obs.clone();
-        let (applied, outcome) = match &rendered.outcome {
-            RenderOutcome::Delivered(enforced) => (
-                enforced.applied.clone(),
+        let obs = &self.engine.exec.obs;
+        let outcome = match &rendered.outcome {
+            RenderOutcome::Delivered(enforced) => {
+                obs.count(Counter::DeliverDelivered);
                 Outcome::Delivered {
                     rows: enforced.table.len(),
                     suppressed_groups: enforced.suppressed_groups,
-                },
-            ),
-            RenderOutcome::Refused(violations) => (
-                Vec::new(),
+                }
+            }
+            RenderOutcome::Refused(violations) => {
+                obs.count(Counter::DeliverRefused);
                 Outcome::Refused {
                     violations: violations.clone(),
-                },
-            ),
+                }
+            }
         };
-        match &outcome {
-            Outcome::Delivered { .. } => obs.count(Counter::DeliverDelivered),
-            Outcome::Refused { .. } => obs.count(Counter::DeliverRefused),
-        }
         self.log.record(
             self.today,
             consumer.clone(),
-            rendered.effective.clone(),
+            Arc::clone(&rendered.effective),
             rendered.report.id.clone(),
-            rendered.report.plan.clone(),
+            Arc::clone(&rendered.plan),
             rendered.report.purpose.clone(),
-            applied,
+            Arc::clone(&rendered.actions),
             outcome,
-            Provenance::new(self.policy_epoch, trace)
-                .with_sources(rendered.source_versions.clone()),
+            Provenance {
+                policy_epoch: self.policy_epoch,
+                trace,
+                source_versions: Arc::clone(&rendered.source_versions),
+            },
         );
         obs.count(Counter::AuditAppends);
         obs.trace(trace);
@@ -778,16 +770,22 @@ impl BiSystem {
         id: &ReportId,
         consumer: &ConsumerId,
     ) -> Result<EnforcedReport, SystemError> {
-        match self.reports.get(id).map(Arc::clone) {
-            Some(report) => self.deliver_resolved(&report, consumer),
-            None => {
-                let _ = self.next_trace();
-                let obs = &self.engine.exec.obs;
-                obs.count(Counter::DeliverRequests);
-                obs.count(Counter::DeliverErrors);
-                Err(SystemError::UnknownReport(id.clone()))
-            }
+        let report = self.resolve_request(id)?;
+        self.deliver_resolved(&report, consumer)
+    }
+
+    /// Resolves the report of a single delivery request. An unknown id
+    /// is still a request, as in a batch: it uses up a trace id and
+    /// counts as a request and an error.
+    fn resolve_request(&mut self, id: &ReportId) -> Result<Arc<ReportSpec>, SystemError> {
+        if let Some(report) = self.reports.get(id) {
+            return Ok(Arc::clone(report));
         }
+        let _ = self.next_trace();
+        let obs = &self.engine.exec.obs;
+        obs.count(Counter::DeliverRequests);
+        obs.count(Counter::DeliverErrors);
+        Err(SystemError::UnknownReport(id.clone()))
     }
 
     /// The serial delivery path for an already-resolved report: one
@@ -805,7 +803,8 @@ impl BiSystem {
         let snapshot = self.warehouse.snapshot();
         let rendered = {
             let _span = obs.span(SpanKind::DeliverRender);
-            let effective = self.effective_roles(report, consumer);
+            let held = self.subjects.roles_of(consumer);
+            let effective = Arc::new(scheduler::effective_roles(held, report));
             self.render_one(report, &effective, &policy, &snapshot)
         };
         match rendered {
@@ -851,9 +850,10 @@ impl BiSystem {
         // whatever happens to the live warehouse meanwhile.
         let snapshot = self.warehouse.snapshot();
 
-        // Phase 1 (serial): resolve + group by enforcement key. Source
-        // versions are looked up once per distinct report, not per
-        // request.
+        // Phase 1 (serial): resolve + group by enforcement key, on
+        // borrowed role sets. Keys are computed once per distinct
+        // (report, held roles) pair and source versions once per
+        // distinct report, not per request.
         let mut versions: BTreeMap<ReportId, Option<Vec<(String, u64)>>> = BTreeMap::new();
         let grouped = scheduler::group_requests(
             requests,
@@ -941,9 +941,8 @@ impl BiSystem {
                 }
                 Slot::Group(gi) => {
                     if let Some(shared) = &outcomes[gi] {
-                        let shared = Arc::clone(shared);
                         return self
-                            .journal_delivery(consumer, trace, &shared)
+                            .journal_delivery(consumer, trace, shared)
                             .map_err(SystemError::Report);
                     }
                     if let Some(e) = failures[gi].take() {
@@ -1022,11 +1021,7 @@ impl BiSystem {
         id: &ReportId,
         consumer: &ConsumerId,
     ) -> Result<String, SystemError> {
-        let spec = self
-            .reports
-            .get(id)
-            .map(Arc::clone)
-            .ok_or_else(|| SystemError::UnknownReport(id.clone()))?;
+        let spec = self.resolve_request(id)?;
         let enforced = self.deliver_resolved(&spec, consumer)?;
         let binding = self.pla_binding();
         Ok(bi_report::render::delivery_document(
@@ -1139,7 +1134,7 @@ impl BiSystem {
                 let mut spec = ReportSpec::new(
                     e.report.clone(),
                     "",
-                    e.plan.clone(),
+                    (*e.plan).clone(),
                     e.roles.iter().cloned().collect::<Vec<_>>(),
                 );
                 if let Some(p) = &e.purpose {

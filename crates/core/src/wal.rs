@@ -497,14 +497,14 @@ fn put_entry(out: &mut Vec<u8>, e: &AuditEntry) {
     put_date(out, e.when);
     put_str(out, e.consumer.as_str());
     put_u32(out, e.roles.len() as u32);
-    for r in &e.roles {
+    for r in e.roles.iter() {
         put_str(out, r.as_str());
     }
     put_str(out, e.report.as_str());
     put_plan(out, &e.plan);
     put_opt_str(out, e.purpose.as_deref());
     put_u32(out, e.actions.len() as u32);
-    for a in &e.actions {
+    for a in e.actions.iter() {
         put_str(out, a);
     }
     match &e.outcome {
@@ -524,7 +524,7 @@ fn put_entry(out: &mut Vec<u8>, e: &AuditEntry) {
     put_u64(out, e.provenance.policy_epoch);
     put_u64(out, e.provenance.trace.value());
     put_u32(out, e.provenance.source_versions.len() as u32);
-    for (t, v) in &e.provenance.source_versions {
+    for (t, v) in e.provenance.source_versions.iter() {
         put_str(out, t);
         put_u64(out, *v);
     }
@@ -979,13 +979,13 @@ impl<'a> Cur<'a> {
     fn entry(&mut self) -> DecodeResult<AuditEntry> {
         let seq = self.u64()?;
         let when = self.date()?;
-        let consumer = ConsumerId::new(self.str()?);
+        let consumer = ConsumerId::from(self.str_ref()?);
         let n = self.u32()? as usize;
         let mut roles = std::collections::BTreeSet::new();
         for _ in 0..n {
-            roles.insert(RoleId::new(self.str()?));
+            roles.insert(RoleId::from(self.str_ref()?));
         }
-        let report = ReportId::new(self.str()?);
+        let report = ReportId::from(self.str_ref()?);
         let plan = self.plan(0)?;
         let purpose = self.opt_str()?;
         let n = self.u32()? as usize;
@@ -1020,11 +1020,11 @@ impl<'a> Cur<'a> {
             seq,
             when,
             consumer,
-            roles,
+            roles: Arc::new(roles),
             report,
-            plan,
+            plan: Arc::new(plan),
             purpose,
-            actions,
+            actions: actions.into(),
             outcome,
             provenance: Provenance::new(policy_epoch, trace).with_sources(source_versions),
         })
@@ -1042,7 +1042,7 @@ impl WalRecord {
         let rec = match c.u8()? {
             0 => WalRecord::Init { today: c.date()? },
             1 => {
-                let source = SourceId::new(c.str()?);
+                let source = SourceId::from(c.str_ref()?);
                 let n = c.u32()? as usize;
                 let mut tables = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
@@ -1052,7 +1052,7 @@ impl WalRecord {
             }
             2 => WalRecord::AddPla { dsl: c.str()? },
             3 => {
-                let id = ReportId::new(c.str()?);
+                let id = ReportId::from(c.str_ref()?);
                 let title = c.str()?;
                 let plan = c.plan(0)?;
                 let n = c.u32()? as usize;
@@ -1063,7 +1063,7 @@ impl WalRecord {
                 let n = c.u32()? as usize;
                 let mut approved_by = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    approved_by.push(SourceId::new(c.str()?));
+                    approved_by.push(SourceId::from(c.str_ref()?));
                 }
                 WalRecord::AddMeta {
                     id,
@@ -1074,13 +1074,13 @@ impl WalRecord {
                 }
             }
             4 => {
-                let id = ReportId::new(c.str()?);
+                let id = ReportId::from(c.str_ref()?);
                 let title = c.str()?;
                 let plan = c.plan(0)?;
                 let n = c.u32()? as usize;
                 let mut consumers = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    consumers.push(RoleId::new(c.str()?));
+                    consumers.push(RoleId::from(c.str_ref()?));
                 }
                 let purpose = c.opt_str()?;
                 WalRecord::DefineReport {
@@ -1092,11 +1092,11 @@ impl WalRecord {
                 }
             }
             5 => WalRecord::RemoveReport {
-                id: ReportId::new(c.str()?),
+                id: ReportId::from(c.str_ref()?),
             },
             6 => {
-                let consumer = ConsumerId::new(c.str()?);
-                let role = RoleId::new(c.str()?);
+                let consumer = ConsumerId::from(c.str_ref()?);
+                let role = RoleId::from(c.str_ref()?);
                 WalRecord::Grant { consumer, role }
             }
             7 => {
@@ -1108,7 +1108,7 @@ impl WalRecord {
                     let m = c.u32()? as usize;
                     let mut sources = Vec::with_capacity(m.min(4096));
                     for _ in 0..m {
-                        sources.push(SourceId::new(c.str()?));
+                        sources.push(SourceId::from(c.str_ref()?));
                     }
                     tables.push(EtlTable {
                         table,
@@ -1332,11 +1332,11 @@ mod tests {
                     seq: 0,
                     when: Date::new(2008, 7, 1).unwrap(),
                     consumer: ConsumerId::new("ada"),
-                    roles: [RoleId::new("analyst")].into_iter().collect(),
+                    roles: Arc::new([RoleId::new("analyst")].into_iter().collect()),
                     report: ReportId::new("r1"),
-                    plan,
+                    plan: Arc::new(plan),
                     purpose: Some("quality".into()),
-                    actions: vec!["suppress small groups".into()],
+                    actions: vec!["suppress small groups".into()].into(),
                     outcome: Outcome::Delivered {
                         rows: 7,
                         suppressed_groups: 2,
@@ -1367,11 +1367,11 @@ mod tests {
                 seq: 3,
                 when: Date::new(2008, 7, 2).unwrap(),
                 consumer: ConsumerId::new("bob"),
-                roles: std::collections::BTreeSet::new(),
+                roles: Arc::default(),
                 report: ReportId::new("r2"),
-                plan: scan("T"),
+                plan: Arc::new(scan("T")),
                 purpose: None,
-                actions: vec![],
+                actions: Arc::default(),
                 outcome: Outcome::Refused {
                     violations: vec![Violation {
                         kind: "distribution".into(),

@@ -8,6 +8,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bi_types::{ConsumerId, RoleId};
 
+/// The role set of a consumer the registry does not know.
+static NO_ROLES: BTreeSet<RoleId> = BTreeSet::new();
+
 /// Registry of consumers and role memberships.
 #[derive(Debug, Clone, Default)]
 pub struct SubjectRegistry {
@@ -36,9 +39,9 @@ impl SubjectRegistry {
             .unwrap_or(false)
     }
 
-    /// The consumer's roles (empty if unknown).
-    pub fn roles_of(&self, consumer: &ConsumerId) -> BTreeSet<RoleId> {
-        self.roles.get(consumer).cloned().unwrap_or_default()
+    /// The consumer's roles, borrowed (empty if unknown).
+    pub fn roles_of(&self, consumer: &ConsumerId) -> &BTreeSet<RoleId> {
+        self.roles.get(consumer).unwrap_or(&NO_ROLES)
     }
 
     /// Does the consumer hold the role?

@@ -20,6 +20,7 @@
 //!   columns derived from the obligated attributes.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bi_anonymize::{Hierarchy, Pseudonymizer};
 use bi_exec::ExecConfig;
@@ -55,12 +56,14 @@ pub struct EngineConfig {
 }
 
 /// An enforced, deliverable report table plus the audit trail of what
-/// enforcement did.
+/// enforcement did. Cloning shares both the table's rows and the
+/// action list.
 #[derive(Debug, Clone)]
 pub struct EnforcedReport {
     pub table: Table,
-    /// Human-readable enforcement actions, in application order.
-    pub applied: Vec<String>,
+    /// Human-readable enforcement actions, in application order. The
+    /// delivery journal shares this list as its entry's `actions`.
+    pub applied: Arc<[String]>,
     /// Aggregate groups suppressed by k-thresholds.
     pub suppressed_groups: usize,
 }
@@ -93,7 +96,8 @@ impl RenderOutcome {
     }
 
     /// The per-consumer view of the shared outcome — exactly what a
-    /// serial render would have returned.
+    /// serial render would have returned. A delivered table and its
+    /// actions are shared, not copied; a refusal copies its violations.
     pub fn to_result(&self) -> Result<EnforcedReport, ReportError> {
         match self {
             RenderOutcome::Delivered(enforced) => Ok(enforced.clone()),
@@ -331,7 +335,7 @@ pub fn render_checked(
 
     Ok(EnforcedReport {
         table,
-        applied,
+        applied: applied.into(),
         suppressed_groups,
     })
 }

@@ -34,7 +34,7 @@ pub fn delivery_document(
     }
     if !enforced.applied.is_empty() {
         out.push_str("ENFORCED\n");
-        for a in &enforced.applied {
+        for a in enforced.applied.iter() {
             out.push_str(&format!("  - {a}\n"));
         }
     }

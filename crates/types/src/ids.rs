@@ -3,20 +3,23 @@
 //!
 //! Stringly-typed identifiers are an easy way to hand a report id where a
 //! source id was meant; each actor kind gets its own newtype. All ids are
-//! cheap to clone, hashable, ordered, and display as their inner text.
+//! hashable, ordered, and display as their inner text. The text lives in
+//! an `Arc<str>`, so a clone is a reference-count bump: journal entries,
+//! enforcement keys and group maps copy ids freely without allocating.
 
 use std::fmt;
+use std::sync::Arc;
 
 macro_rules! string_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        pub struct $name(String);
+        pub struct $name(Arc<str>);
 
         impl $name {
             /// Wraps the given text as an identifier.
             pub fn new(id: impl Into<String>) -> Self {
-                $name(id.into())
+                $name(Arc::from(id.into()))
             }
 
             /// The identifier text.
@@ -32,14 +35,15 @@ macro_rules! string_id {
         }
 
         impl From<&str> for $name {
+            /// Copies the text straight into its shared allocation.
             fn from(s: &str) -> Self {
-                $name::new(s)
+                $name(Arc::from(s))
             }
         }
 
         impl From<String> for $name {
             fn from(s: String) -> Self {
-                $name(s)
+                $name::new(s)
             }
         }
     };
@@ -91,5 +95,14 @@ mod tests {
     #[test]
     fn ids_order_lexicographically() {
         assert!(RoleId::new("analyst") < RoleId::new("auditor"));
+    }
+
+    #[test]
+    fn clones_share_their_text() {
+        let r = ReportId::new("r-consumption");
+        let c = r.clone();
+        assert_eq!(r, c);
+        assert!(std::ptr::eq(r.as_str(), c.as_str()));
+        assert_eq!(format!("{r:?}"), "ReportId(\"r-consumption\")");
     }
 }

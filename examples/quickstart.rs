@@ -102,7 +102,7 @@ pla "hospital-2008" source hospital version 1 level meta-report {
         .deliver(&"drug-consumption".into(), &"alice@agency".into())
         .expect("report is compliant");
     println!("\nenforcement applied:");
-    for a in &delivered.applied {
+    for a in delivered.applied.iter() {
         println!("  - {a}");
     }
     println!(

@@ -4,8 +4,9 @@
 # is it fast.
 #
 #   1. release build (the bench binaries need it anyway);
-#   2. the root integration suites plus every crate's unit tests, and
-#      the end-to-end benchmark's quick tests (`bench_e2e`);
+#   2. the root integration suites plus every crate's unit tests, the
+#      seven examples run in release (each must exit 0), and the
+#      end-to-end benchmark's quick tests (`bench_e2e`);
 #   3. rustfmt over every first-party package (`vendor/` is excluded —
 #      vendored sources stay byte-identical to upstream);
 #   4. clippy over all targets with warnings denied — and every
@@ -26,6 +27,15 @@ cargo build --release
 echo "== tests =="
 cargo test -q
 cargo test --workspace -q
+
+echo "== examples =="
+# Each example drives the public API end to end on seeded data; run
+# every one and fail on the first non-zero exit.
+for ex in examples/*.rs; do
+  name=$(basename "$ex" .rs)
+  echo "-- $name"
+  cargo run --release -q --example "$name" >/dev/null
+done
 
 echo "== end-to-end benchmark (quick) =="
 # Every bench_e2e workload in --quick mode plus a check of every

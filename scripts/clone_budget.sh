@@ -8,6 +8,9 @@
 # copies show up in CI instead of in profiles.
 #
 # Budgets are the current counts; lower them when you remove clones.
+# Ids (`ReportId`, `ConsumerId`, `RoleId`, …) wrap an `Arc<str>`, so an
+# id `.clone()` is a reference-count bump, not a copy of its text; the
+# count still includes those sites.
 #
 # Usage: scripts/clone_budget.sh [--clippy]
 #   --clippy  also run `cargo clippy --workspace -- -D warnings`
@@ -23,10 +26,16 @@ declare -A BUDGET=(
   # The rest is the batch-scheduler growth already accounted for:
   # id/role-set clones in grouping closures and per-consumer journal
   # appends of Arc-shared renders. Table storage is never cloned.
-  [crates/core/src/system.rs]=63
+  # 63 -> 56 when journal entries began sharing their render's facts:
+  # an append bumps the reference counts of the render's roles, plan,
+  # actions and source versions instead of copying them, and the
+  # grouping closure no longer clones a held role set per request.
+  [crates/core/src/system.rs]=56
   # Scheduler: one EnforcementKey clone into the dedup map, one in a
-  # test fixture. Rendered outcomes move by Arc, members by index.
-  [crates/core/src/scheduler.rs]=2
+  # test fixture, and the report's plan copied into the render's
+  # `Arc<Plan>` once per render (it used to be copied per journal entry
+  # in system.rs). Rendered outcomes move by Arc, members by index.
+  [crates/core/src/scheduler.rs]=3
   # Render cache: hit/insert share by Arc::clone only — a deep copy of
   # an EnforcedReport here would defeat the whole layer.
   [crates/core/src/render_cache.rs]=0

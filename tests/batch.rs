@@ -17,7 +17,8 @@ fn today() -> Date {
 
 /// The standard deployment: hospital prescriptions ETL'd into the
 /// warehouse, one approved meta-report, three reports over two role
-/// profiles, a few consumers per profile and one roleless stranger.
+/// profiles, a few consumers per profile, two consumers holding two
+/// roles each and one roleless stranger.
 fn deployment() -> BiSystem {
     let scenario = Scenario::generate(ScenarioConfig {
         patients: 24,
@@ -49,6 +50,10 @@ fn deployment() -> BiSystem {
     }
     for u in ["u0", "u1"] {
         sys.subjects_mut().grant(u, "auditor");
+    }
+    for (c, second) in [("am0", "manager"), ("aa0", "auditor")] {
+        sys.subjects_mut().grant(c, "analyst");
+        sys.subjects_mut().grant(c, second);
     }
     sys.define_report(ReportSpec::new(
         "r-consumption",
@@ -131,10 +136,10 @@ proptest! {
     /// loop, at 1/2/8 threads, with the render cache on and off.
     #[test]
     fn prop_batch_is_byte_identical_to_serial_loop(
-        picks in prop::collection::vec((0usize..4, 0usize..6), 0..12),
+        picks in prop::collection::vec((0usize..4, 0usize..8), 0..12),
     ) {
         let reports = ["r-consumption", "r-disease", "r-monthly", "r-ghost"];
-        let consumers = ["a0", "a1", "a2", "u0", "u1", "stranger"];
+        let consumers = ["a0", "a1", "a2", "u0", "u1", "am0", "aa0", "stranger"];
         let requests: Vec<(ReportId, ConsumerId)> = picks
             .iter()
             .map(|&(r, c)| (ReportId::new(reports[r]), ConsumerId::new(consumers[c])))
@@ -204,6 +209,79 @@ fn duplicate_pairs_share_one_render_and_journal_per_request() {
     );
     let traces: Vec<u64> = entries.iter().map(|e| e.provenance.trace.value()).collect();
     assert_eq!(traces, vec![1, 2, 3], "trace ids follow request order");
+}
+
+/// Consumers whose held roles differ but meet the report's
+/// distribution list alike share one render: `r-consumption` goes to
+/// analysts only, so an analyst and an analyst+manager see the same
+/// report.
+#[test]
+fn held_roles_that_meet_the_distribution_list_alike_share_a_render() {
+    let mut sys = deployment();
+    let obs = Obs::enabled();
+    sys.engine_mut().exec = ExecConfig::with_threads(2).with_obs(obs.clone());
+    let requests = vec![
+        (ReportId::new("r-consumption"), ConsumerId::new("a0")),
+        (ReportId::new("r-consumption"), ConsumerId::new("am0")),
+    ];
+    let results = sys.deliver_batch(&requests);
+    assert!(results.iter().all(Result::is_ok));
+    assert_eq!(fingerprint(&results[0]), fingerprint(&results[1]));
+    let snap = obs.snapshot();
+    assert_eq!(snap.counters.get("deliver.render.unique"), Some(&1));
+    assert_eq!(snap.counters.get("deliver.render.shared"), Some(&1));
+    let entries = sys.audit_log().entries();
+    assert_eq!(entries.len(), 2);
+    assert_eq!(entries[0].roles, entries[1].roles);
+    assert_eq!(
+        entries[1]
+            .roles
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>(),
+        vec!["analyst"],
+        "the journal records the effective roles, not the held ones"
+    );
+}
+
+/// An unknown report is a refused request on every delivery API: it
+/// uses up a trace id and counts as a request and an error, so later
+/// trace ids do not depend on which API refused it.
+#[test]
+fn unknown_reports_count_alike_on_every_delivery_api() {
+    let ghost = ReportId::new("r-ghost");
+    let a0 = ConsumerId::new("a0");
+    for document in [false, true] {
+        let mut sys = deployment();
+        let obs = Obs::enabled();
+        sys.engine_mut().exec = ExecConfig::serial().with_obs(obs.clone());
+        let refused = if document {
+            sys.deliver_document(&ghost, &a0).map(|_| ())
+        } else {
+            sys.deliver(&ghost, &a0).map(|_| ())
+        };
+        assert!(matches!(refused, Err(SystemError::UnknownReport(_))));
+        let snap = obs.snapshot();
+        assert_eq!(
+            snap.counters.get("deliver.requests"),
+            Some(&1),
+            "document={document}"
+        );
+        assert_eq!(
+            snap.counters.get("deliver.errors"),
+            Some(&1),
+            "document={document}"
+        );
+        assert!(sys.audit_log().entries().is_empty());
+        sys.deliver(&ReportId::new("r-consumption"), &a0).unwrap();
+        let entries = sys.audit_log().entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(
+            entries[0].provenance.trace.value(),
+            2,
+            "document={document}"
+        );
+    }
 }
 
 /// Unknown reports interleaved through a batch error in place without

@@ -229,11 +229,11 @@ fn versioned_replay_diverges_from_current_data_after_etl() {
     let entries = sys.audit_log().entries();
     assert_eq!(
         entries[0].provenance.source_versions,
-        vec![("FactPrescriptions".into(), 1)]
+        vec![("FactPrescriptions".into(), 1)].into()
     );
     assert_eq!(
         entries[1].provenance.source_versions,
-        vec![("FactPrescriptions".into(), 2)]
+        vec![("FactPrescriptions".into(), 2)].into()
     );
 }
 
@@ -673,11 +673,11 @@ fn recovery_refuses_a_trace_id_with_no_successor() {
                 seq: 0,
                 when: today(),
                 consumer: ConsumerId::new("a0"),
-                roles: [RoleId::new("analyst")].into_iter().collect(),
+                roles: std::sync::Arc::new([RoleId::new("analyst")].into_iter().collect()),
                 report: ReportId::new("r"),
-                plan: scan("T"),
+                plan: scan("T").into(),
                 purpose: None,
-                actions: vec![],
+                actions: vec![].into(),
                 outcome: Outcome::Delivered {
                     rows: 1,
                     suppressed_groups: 0,

@@ -350,7 +350,7 @@ proptest! {
         if got.is_ok() {
             let groups: BTreeSet<(u64, &[(String, u64)])> = log
                 .deliveries()
-                .map(|e| (e.provenance.policy_epoch, e.provenance.source_versions.as_slice()))
+                .map(|e| (e.provenance.policy_epoch, &*e.provenance.source_versions))
                 .collect();
             let tables: usize = groups.iter().map(|(_, vs)| vs.len()).sum();
             prop_assert_eq!(calls.get(), tables, "one resolver call per group and table");
