@@ -2,7 +2,7 @@
 //!
 //! Every scalar evaluation path now routes through the expression
 //! bytecode VM (`Program` + `Vm`), keeping the recursive `Expr::eval`
-//! walker only as a fallback and property-test oracle. This bench pins
+//! walker only as the property-test oracle. This bench pins
 //! the payoff: on filter, projection and PLA-obligation workloads it
 //! times the recursive walker (per-row `Expr::eval`), the VM
 //! (`filter_scalar` / `project_scalar`, single thread so the speedup is

@@ -106,12 +106,8 @@ counters! {
     /// One compiled program executed over a table (operator-level; the
     /// count is identical at any thread count).
     VmExec => "vm.exec",
-    /// Program compilation declined; the recursive walker served.
-    VmFallback => "vm.fallback",
     /// Conversion declined: Float column holding Int values.
     ColumnarDeclineMixedNumeric => "columnar.decline.mixed-numeric",
-    /// Conversion declined: text dictionary code space exhausted.
-    ColumnarDeclineDictOverflow => "columnar.decline.dict-overflow",
     /// Conversion declined: row count exceeds u32 selection space.
     ColumnarDeclineTooManyRows => "columnar.decline.too-many-rows",
     /// Conversion declined: requested column index out of range.
@@ -175,9 +171,9 @@ counters! {
     /// A fused pipeline served an operator chain in one morsel pass
     /// (strategy counter — excluded from snapshot equality).
     PlanChoicePipeline => "plan.choice.pipeline",
-    /// Pipeline decomposition found a fusible chain but an operator in
-    /// it declined stage compilation (VM or kernel); the chain ran
-    /// operator-at-a-time instead.
+    /// Pipeline decomposition found a fusible chain but a projection's
+    /// output types didn't infer or the join header didn't resolve; the
+    /// chain ran operator-at-a-time instead.
     PipelineDeclineCompile => "pipeline.decline.compile",
     /// A fused chain's kernel filters needed a chunk conversion that
     /// declined; the chain ran operator-at-a-time instead.

@@ -643,7 +643,8 @@ mod tests {
 
     /// Every `FilterRows` condition the checker emits — row restrictions
     /// verbatim and retention cutoffs synthesized as `attr >= date` —
-    /// must compile to a columnar kernel against the table it filters.
+    /// must resolve against the table it filters and compile to a
+    /// columnar kernel there.
     /// The report engine pushes these obligations into the plan as
     /// `Plan::Filter` nodes, so this is what guarantees PLA enforcement
     /// runs on the vectorized path (never silently falling back to the
@@ -676,8 +677,8 @@ mod tests {
                     "PLA condition must vectorize: {condition}"
                 );
                 assert!(
-                    bi_relation::Program::compile(condition, schema).is_ok(),
-                    "PLA condition must compile to the scalar VM: {condition}"
+                    condition.infer_type(schema).is_ok(),
+                    "PLA condition must resolve against its table: {condition}"
                 );
             }
         }

@@ -102,18 +102,13 @@ fn walk(plan: &Plan, pcat: &ProvCatalog<'_>) -> Result<PGrid, QueryError> {
         Plan::Filter { input, pred } => {
             let g = walk(input, pcat)?;
             let schema = g.table.schema().clone();
-            // Compile the predicate once for the whole pass; compilation
-            // declines (e.g. unknown column behind a short-circuit) fall
-            // back to the recursive walker per row.
-            let program = bi_relation::Program::compile(pred, &schema).ok();
+            // Compile the predicate once for the whole pass.
+            let program = bi_relation::Program::compile(pred, &schema);
             let mut vm = bi_relation::Vm::new();
             let mut table = Table::new(g.table.name().to_string(), schema.clone());
             let mut anns = Vec::new();
             for (row, ann) in g.table.rows().iter().zip(g.anns.iter()) {
-                let v = match &program {
-                    Some(p) => vm.run(p, row),
-                    None => pred.eval(&schema, row),
-                };
+                let v = vm.run(&program, row);
                 let keep = v.map_err(QueryError::from)?.as_bool().unwrap_or(false);
                 if keep {
                     table.push_row(row.clone())?;

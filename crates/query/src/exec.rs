@@ -38,8 +38,7 @@
 //! decline, and all projections) goes through the expression bytecode
 //! VM via [`bi_relation::filter_scalar`] / [`bi_relation::project_scalar`]:
 //! predicates compile once per operator and execute without recursion
-//! or per-row allocation, falling back to the recursive walker only
-//! when compilation declines.
+//! or per-row allocation.
 
 use bi_exec::ExecConfig;
 use bi_relation::Table;

@@ -43,8 +43,9 @@
 //! byte-identity oracle and the decline target. The ladder has three
 //! rungs, every one counted:
 //!
-//! * `pipeline.decline.compile` — a stage or the join header didn't
-//!   compile (the walker or a header error owns the semantics);
+//! * `pipeline.decline.compile` — a projection's output types didn't
+//!   infer, or the join header didn't resolve (the operator-at-a-time
+//!   engine raises those errors);
 //! * `pipeline.decline.convert` — the source or build side declined
 //!   columnar conversion for the kernel or join-key columns;
 //! * `pipeline.decline.shape` — an aggregate the partial states can't
@@ -308,9 +309,10 @@ fn op_materializes(op: &ChainOp, last: bool) -> bool {
 }
 
 /// Compiles every stage against the *evolving* schema (each projection
-/// replaces it), then the join header and the sink. Any stage that
-/// doesn't compile declines the whole chain — the operator-at-a-time
-/// fallback owns walker semantics and error surfaces.
+/// replaces it), then the join header and the sink. A projection whose
+/// types don't infer, or a join header that doesn't resolve, declines
+/// the whole chain — the operator-at-a-time fallback raises those
+/// errors in its own order. Filters and projections always compile.
 fn compile(
     chain: &Chain,
     src_schema: Arc<Schema>,
@@ -332,10 +334,7 @@ fn compile(
                         continue;
                     }
                 }
-                match Program::compile(pred, &schema) {
-                    Ok(p) => stages.push(Stage::VmFilter(p)),
-                    Err(_) => return Err(Counter::PipelineDeclineCompile),
-                }
+                stages.push(Stage::VmFilter(Program::compile(pred, &schema)));
             }
             ChainOp::Project(items) => {
                 let out = match bi_relation::project_schema(&schema, items) {
@@ -363,14 +362,8 @@ fn compile(
                         continue;
                     }
                 }
-                let programs: Result<Vec<Program>, RelationError> = items
-                    .iter()
-                    .map(|(_, e)| Program::compile(e, &schema))
-                    .collect();
-                match programs {
-                    Ok(ps) => stages.push(Stage::VmProject(ps)),
-                    Err(_) => return Err(Counter::PipelineDeclineCompile),
-                }
+                let programs = items.iter().map(|(_, e)| Program::compile(e, &schema));
+                stages.push(Stage::VmProject(programs.collect()));
                 schema = out;
                 reshaped = true;
             }

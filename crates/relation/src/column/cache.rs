@@ -125,7 +125,7 @@ fn build(table: &Table, c: usize) -> Result<Column, ColumnarError> {
         .columns()
         .get(c)
         .ok_or(ColumnarError::NoSuchColumn { index: c })
-        .and_then(|sc| build_column(table, c, sc.dtype, &sc.name, u32::MAX))
+        .and_then(|sc| build_column(table, c, sc.dtype, &sc.name))
 }
 
 /// Drops the least-recently-touched eighth of the cache so insertions

@@ -802,31 +802,12 @@ fn eval_in_list(
 /// otherwise the result is byte-identical to [`Table::filter`],
 /// including the storage-sharing fast path when every row survives.
 pub fn filter_columnar(table: &Table, pred: &Expr, cfg: &ExecConfig) -> Option<Table> {
-    filter_columnar_with_dict_limit(table, pred, cfg, u32::MAX)
-}
-
-/// [`filter_columnar`] with an injectable dictionary cap (tests use it
-/// to prove the overflow path declines cleanly).
-pub fn filter_columnar_with_dict_limit(
-    table: &Table,
-    pred: &Expr,
-    cfg: &ExecConfig,
-    dict_limit: u32,
-) -> Option<Table> {
     let Some(compiled) = CompiledPredicate::compile(pred, table.schema()) else {
         cfg.obs
             .count(bi_exec::Counter::ColumnarFilterDeclineCompile);
         return None;
     };
-    // The default configuration goes through the version-keyed column
-    // cache; injected dictionary limits (test-only) stay uncached so
-    // their declines never pollute shared state.
-    let converted = if dict_limit == u32::MAX {
-        ColumnChunk::from_table_cols_cached(table, compiled.columns(), cfg)
-    } else {
-        ColumnChunk::from_table_cols_with_dict_limit(table, compiled.columns(), dict_limit)
-    };
-    let chunk = match converted {
+    let chunk = match ColumnChunk::from_table_cols_cached(table, compiled.columns(), cfg) {
         Ok(chunk) => chunk,
         Err(e) => {
             cfg.obs.count(e.counter());
@@ -1044,16 +1025,6 @@ mod tests {
         assert!(filter_columnar(&t, &col("name").lt(lit(3)), &cfg).is_none());
         // Non-boolean columns are not predicates.
         assert!(filter_columnar(&t, &col("age"), &cfg).is_none());
-    }
-
-    #[test]
-    fn dict_overflow_declines_cleanly() {
-        let t = table();
-        let pred = col("name").eq(lit("alice"));
-        let cfg = ExecConfig::columnar();
-        assert!(filter_columnar_with_dict_limit(&t, &pred, &cfg, 2).is_none());
-        let full = filter_columnar_with_dict_limit(&t, &pred, &cfg, 4).unwrap();
-        assert_eq!(full.rows(), t.filter(&pred).unwrap().rows());
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //!   interned `Arc<str>` allocations through the dictionary).
 //! * Conversion is total over clean columns and **declines** otherwise
 //!   ([`ColumnarError`]): a `Float` column that actually holds `Int`
-//!   values (legal — `Int` widens to `Float`) or a dictionary overflow
-//!   makes the caller fall back to the row engine rather than risk a
-//!   divergent answer.
+//!   values (legal — `Int` widens to `Float`) makes the caller fall back
+//!   to the row engine rather than risk a divergent answer.
 
 pub mod cache;
 pub mod kernel;
@@ -42,9 +41,6 @@ pub enum ColumnarError {
     /// A `Float`-typed column holds `Int` values; a typed `f64` vector
     /// cannot reproduce the original `Value` variants byte-for-byte.
     MixedNumeric { column: String },
-    /// The text dictionary hit its code limit (`u32` space, or the
-    /// smaller cap injected by tests).
-    DictOverflow { column: String },
     /// The requested column index is out of range.
     NoSuchColumn { index: usize },
     /// Chunks address rows with `u32` selection vectors.
@@ -56,12 +52,6 @@ impl std::fmt::Display for ColumnarError {
         match self {
             ColumnarError::MixedNumeric { column } => {
                 write!(f, "column {column:?} mixes Int values into a Float column")
-            }
-            ColumnarError::DictOverflow { column } => {
-                write!(
-                    f,
-                    "dictionary for column {column:?} overflowed its code space"
-                )
             }
             ColumnarError::NoSuchColumn { index } => write!(f, "no column at index {index}"),
             ColumnarError::TooManyRows { rows } => {
@@ -80,7 +70,6 @@ impl ColumnarError {
     pub fn counter(&self) -> bi_exec::Counter {
         match self {
             ColumnarError::MixedNumeric { .. } => bi_exec::Counter::ColumnarDeclineMixedNumeric,
-            ColumnarError::DictOverflow { .. } => bi_exec::Counter::ColumnarDeclineDictOverflow,
             ColumnarError::NoSuchColumn { .. } => bi_exec::Counter::ColumnarDeclineNoSuchColumn,
             ColumnarError::TooManyRows { .. } => bi_exec::Counter::ColumnarDeclineTooManyRows,
         }
@@ -147,6 +136,11 @@ impl Validity {
 /// An append-only string dictionary: dense `u32` codes in
 /// first-appearance order over interned `Arc<str>` payloads.
 ///
+/// Codes always fit: only this crate's chunk constructors intern, one
+/// dictionary per column of one chunk, and both refuse tables of more
+/// than `u32::MAX` rows ([`ColumnarError::TooManyRows`]), so a column
+/// meets at most `u32::MAX` distinct strings — codes `0..u32::MAX`.
+///
 /// Lifecycle: a dictionary is built per text column during
 /// `Table → ColumnChunk` conversion, shared behind `Arc` by everything
 /// derived from that chunk, and dropped with it — codes are chunk-local
@@ -157,27 +151,9 @@ impl Validity {
 pub struct Dictionary {
     strings: Vec<Arc<str>>,
     lookup: HashMap<Arc<str>, u32>,
-    limit: u32,
 }
 
 impl Dictionary {
-    /// An empty dictionary with the full `u32` code space.
-    pub fn new() -> Self {
-        Self::with_limit(u32::MAX)
-    }
-
-    /// An empty dictionary holding at most `limit` distinct strings.
-    /// Production code uses the full space; tests inject tiny limits to
-    /// exercise the >`u32::MAX`-distinct-strings fallback without
-    /// materializing four billion strings.
-    pub fn with_limit(limit: u32) -> Self {
-        Dictionary {
-            strings: Vec::new(),
-            lookup: HashMap::new(),
-            limit,
-        }
-    }
-
     /// Number of distinct strings interned.
     pub fn len(&self) -> usize {
         self.strings.len()
@@ -188,19 +164,15 @@ impl Dictionary {
         self.strings.is_empty()
     }
 
-    /// Interns `s`, returning its (existing or fresh) code, or `None`
-    /// when the code space is exhausted.
-    pub fn intern(&mut self, s: &Arc<str>) -> Option<u32> {
+    /// Interns `s`, returning its (existing or fresh) code.
+    pub(crate) fn intern(&mut self, s: &Arc<str>) -> u32 {
         if let Some(&c) = self.lookup.get(s) {
-            return Some(c);
-        }
-        if self.strings.len() >= self.limit as usize {
-            return None;
+            return c;
         }
         let c = self.strings.len() as u32;
         self.strings.push(Arc::clone(s));
         self.lookup.insert(Arc::clone(s), c);
-        Some(c)
+        c
     }
 
     /// The code of `s` if it is interned (no insertion).
@@ -406,16 +378,6 @@ impl ColumnChunk {
 
     /// Converts only the columns at `wanted` (schema positions).
     pub fn from_table_cols(table: &Table, wanted: &[usize]) -> Result<Self, ColumnarError> {
-        Self::from_table_cols_with_dict_limit(table, wanted, u32::MAX)
-    }
-
-    /// [`ColumnChunk::from_table_cols`] with a dictionary code cap, so
-    /// tests can exercise the overflow decline path cheaply.
-    pub fn from_table_cols_with_dict_limit(
-        table: &Table,
-        wanted: &[usize],
-        dict_limit: u32,
-    ) -> Result<Self, ColumnarError> {
         if table.len() > u32::MAX as usize {
             return Err(ColumnarError::TooManyRows { rows: table.len() });
         }
@@ -425,9 +387,7 @@ impl ColumnChunk {
             let Some(col) = schema.columns().get(c) else {
                 return Err(ColumnarError::NoSuchColumn { index: c });
             };
-            cols[c] = Some(Arc::new(build_column(
-                table, c, col.dtype, &col.name, dict_limit,
-            )?));
+            cols[c] = Some(Arc::new(build_column(table, c, col.dtype, &col.name)?));
         }
         Ok(ColumnChunk {
             name: table.name().to_string(),
@@ -442,10 +402,7 @@ impl ColumnChunk {
     /// converted for this table's storage version are shared, not
     /// rebuilt. Hits and misses are reported per column on `cfg.obs`
     /// (`chunk.cache.hit` / `chunk.cache.miss`); the cache bound comes
-    /// from `cfg.chunk_cache_capacity` (`0` bypasses the cache). Only
-    /// the default (unlimited) dictionary configuration is cacheable;
-    /// callers that inject test dictionary limits must use the uncached
-    /// path.
+    /// from `cfg.chunk_cache_capacity` (`0` bypasses the cache).
     pub fn from_table_cols_cached(
         table: &Table,
         wanted: &[usize],
@@ -530,7 +487,6 @@ pub(crate) fn build_column(
     c: usize,
     dtype: DataType,
     name: &str,
-    dict_limit: u32,
 ) -> Result<Column, ColumnarError> {
     let n = table.len();
     let mut validity = Validity::all_valid(n);
@@ -574,18 +530,11 @@ pub(crate) fn build_column(
             ColumnData::Float(v)
         }
         DataType::Text => {
-            let mut dict = Dictionary::with_limit(dict_limit);
+            let mut dict = Dictionary::default();
             let mut codes = vec![0u32; n];
             for (i, row) in table.rows().iter().enumerate() {
                 match &row[c] {
-                    Value::Text(s) => match dict.intern(s) {
-                        Some(code) => codes[i] = code,
-                        None => {
-                            return Err(ColumnarError::DictOverflow {
-                                column: name.to_string(),
-                            })
-                        }
-                    },
+                    Value::Text(s) => codes[i] = dict.intern(s),
                     _ => validity.set_null(i),
                 }
             }
@@ -696,28 +645,6 @@ mod tests {
         assert!(chunk.column(3).unwrap().validity.all_valid_hint());
         assert_eq!(col.value(1), Value::Null);
         assert_eq!(col.value(2), Value::Int(-3));
-    }
-
-    #[test]
-    fn dict_overflow_declines() {
-        let schema = Schema::new(vec![SchemaColumn::new("t", DataType::Text)]).unwrap();
-        let rows: Vec<Vec<Value>> = (0..5).map(|i| vec![Value::text(format!("s{i}"))]).collect();
-        let t = Table::from_rows("T", schema, rows).unwrap();
-        let err = ColumnChunk::from_table_cols_with_dict_limit(&t, &[0], 3).unwrap_err();
-        assert_eq!(err, ColumnarError::DictOverflow { column: "t".into() });
-        // At the limit exactly, conversion still succeeds (3 distinct fit).
-        let t3 = Table::from_rows(
-            "T",
-            t.schema().clone(),
-            vec![
-                vec!["a".into()],
-                vec!["b".into()],
-                vec!["c".into()],
-                vec!["a".into()],
-            ],
-        )
-        .unwrap();
-        assert!(ColumnChunk::from_table_cols_with_dict_limit(&t3, &[0], 3).is_ok());
     }
 
     #[test]

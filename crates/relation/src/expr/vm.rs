@@ -15,10 +15,11 @@
 //! including evaluation order of side conditions — and the property
 //! suite holds the two byte-identical. Both engines call the same
 //! scalar kernels (`bin_scalar`, `eval_func`, `between_scalar`, …) so
-//! they cannot drift. Compilation itself is fallible: it resolves and
-//! arity-checks *every* node, including never-taken branches the oracle
-//! would skip, so callers fall back to the row walker when `compile`
-//! declines — which reproduces legacy behaviour exactly.
+//! they cannot drift. Compilation is total: an unknown column or a
+//! wrong-arity call compiles to an op that raises the walker's exact
+//! error when evaluation reaches it, and only then — a never-taken
+//! branch may hold one, as the walker never looks there. No caller has
+//! anything to fall back from.
 //!
 //! The columnar kernels ([`crate::column::kernel::CompiledPredicate`])
 //! are the *vectorized* backend of the same front end: both lower the
@@ -60,7 +61,7 @@ enum Op {
     BinTopCol(BinOp, u32),
     /// Function call over the top `n` values (never `Func::If`, which
     /// compiles to jumps).
-    Call(Func, u16),
+    Call(Func, usize),
     /// Membership test of the top value against prepared list `i`.
     InList(u32),
     /// `BETWEEN` over the top three values (`e`, `lo`, `hi`).
@@ -79,6 +80,9 @@ enum Op {
     IfProbe(u32),
     /// Unconditional jump (end of a then-branch).
     Jump(u32),
+    /// Raise error-pool entry `i`: an unknown column, or a call with the
+    /// wrong number of arguments, reached by evaluation.
+    Fail(u32),
 }
 
 /// An `IN`-list from the constant pool with its NULL-membership
@@ -90,10 +94,12 @@ struct ListPool {
 }
 
 /// The shared constant pool of a program.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Pool {
     consts: Vec<Value>,
     lists: Vec<ListPool>,
+    /// The walker's errors for the nodes that cannot run ([`Op::Fail`]).
+    errors: Vec<RelationError>,
 }
 
 /// A compiled expression: ops + constant pool behind `Arc`s, so clones
@@ -108,26 +114,26 @@ pub struct Program {
 impl Program {
     /// Compiles `e` against `schema`: constant-folds, resolves columns
     /// to row indices, checks arities, and lowers short-circuits to
-    /// jumps. Fails on unknown columns or bad arities *anywhere* in the
-    /// tree (the oracle only fails on paths it executes) — callers fall
-    /// back to [`Expr::eval`] to preserve legacy behaviour exactly.
-    pub fn compile(e: &Expr, schema: &Schema) -> Result<Program, RelationError> {
-        let folded = fold(e);
+    /// jumps. Total: an unknown column, or a call with the wrong number
+    /// of arguments, becomes an op that raises the walker's error where
+    /// the walker would — only on rows whose evaluation reaches it.
+    pub fn compile(e: &Expr, schema: &Schema) -> Program {
+        Program::lower(&fold(e), schema)
+    }
+
+    /// Lowers an already-folded tree.
+    fn lower(e: &Expr, schema: &Schema) -> Program {
         let mut c = Compiler {
             ops: Vec::new(),
-            consts: Vec::new(),
-            lists: Vec::new(),
+            pool: Pool::default(),
             schema,
         };
-        let stack_need = c.emit(&folded)?;
-        Ok(Program {
+        let stack_need = c.emit(e);
+        Program {
             ops: Arc::new(c.ops),
-            pool: Arc::new(Pool {
-                consts: c.consts,
-                lists: c.lists,
-            }),
+            pool: Arc::new(c.pool),
             stack_need,
-        })
+        }
     }
 
     /// Number of instructions (diagnostic).
@@ -236,11 +242,7 @@ impl Vm {
                     *lv = v;
                 }
                 Op::Call(f, n) => {
-                    let start = self
-                        .stack
-                        .len()
-                        .checked_sub(*n as usize)
-                        .ok_or_else(corrupt)?;
+                    let start = self.stack.len().checked_sub(*n).ok_or_else(corrupt)?;
                     let v = super::eval_func(*f, &self.stack[start..])?;
                     self.stack.truncate(start);
                     self.stack.push(v);
@@ -287,6 +289,12 @@ impl Vm {
                     pc = *target as usize;
                     continue;
                 }
+                Op::Fail(i) => {
+                    return Err(pool
+                        .errors
+                        .get(*i as usize)
+                        .map_or_else(corrupt, Clone::clone));
+                }
             }
             pc += 1;
         }
@@ -300,19 +308,34 @@ impl Vm {
 /// computing the exact peak stack depth.
 struct Compiler<'a> {
     ops: Vec<Op>,
-    consts: Vec<Value>,
-    lists: Vec<ListPool>,
+    pool: Pool,
     schema: &'a Schema,
 }
 
 impl Compiler<'_> {
     /// Interns `v` in the constant pool.
     fn konst(&mut self, v: Value) -> u32 {
-        if let Some(i) = self.consts.iter().position(|c| c == &v) {
+        let consts = &mut self.pool.consts;
+        if let Some(i) = consts.iter().position(|c| c == &v) {
             return i as u32;
         }
-        self.consts.push(v);
-        (self.consts.len() - 1) as u32
+        consts.push(v);
+        (consts.len() - 1) as u32
+    }
+
+    /// The row index of `e` when it is a column the schema resolves.
+    fn column(&self, e: &Expr) -> Option<u32> {
+        match e {
+            Expr::Col(name) => self.schema.index_of(name).ok().map(|i| i as u32),
+            _ => None,
+        }
+    }
+
+    /// Emits a node that raises `err` when evaluation reaches it.
+    fn fail(&mut self, err: RelationError) -> usize {
+        self.pool.errors.push(err);
+        self.ops.push(Op::Fail((self.pool.errors.len() - 1) as u32));
+        1
     }
 
     /// Back-patches the jump target of the probe at `at`.
@@ -327,42 +350,44 @@ impl Compiler<'_> {
 
     /// Emits code for `e`; returns the peak stack depth of the emitted
     /// fragment (relative to its own entry).
-    fn emit(&mut self, e: &Expr) -> Result<usize, RelationError> {
-        Ok(match e {
-            Expr::Col(name) => {
-                let i = self.schema.index_of(name)?;
-                self.ops.push(Op::Col(i as u32));
-                1
-            }
+    fn emit(&mut self, e: &Expr) -> usize {
+        match e {
+            Expr::Col(name) => match self.schema.index_of(name) {
+                Ok(i) => {
+                    self.ops.push(Op::Col(i as u32));
+                    1
+                }
+                Err(err) => self.fail(err.into()),
+            },
             Expr::Lit(v) => {
                 let i = self.konst(v.clone());
                 self.ops.push(Op::Const(i));
                 1
             }
             Expr::Not(x) => {
-                let n = self.emit(x)?;
+                let n = self.emit(x);
                 self.ops.push(Op::Not);
                 n
             }
             Expr::Neg(x) => {
-                let n = self.emit(x)?;
+                let n = self.emit(x);
                 self.ops.push(Op::Neg);
                 n
             }
             Expr::IsNull(x) => {
-                let n = self.emit(x)?;
+                let n = self.emit(x);
                 self.ops.push(Op::IsNull);
                 n
             }
             Expr::Bin(op @ (BinOp::And | BinOp::Or), l, r) => {
-                let nl = self.emit(l)?;
+                let nl = self.emit(l);
                 let probe = self.ops.len();
                 self.ops.push(if *op == BinOp::And {
                     Op::AndProbe(0)
                 } else {
                     Op::OrProbe(0)
                 });
-                let nr = self.emit(r)?;
+                let nr = self.emit(r);
                 self.ops.push(Op::Logic(*op));
                 let end = self.ops.len() as u32;
                 self.patch(probe, end);
@@ -371,84 +396,83 @@ impl Compiler<'_> {
             // Peephole: leaf operands of a non-logical binary op fuse
             // into one instruction that feeds `bin_scalar` by reference
             // — no operand clones, no stack traffic. Evaluation order
-            // is preserved: leaves cannot error at run time (columns
-            // are resolved here, literals are values already).
-            Expr::Bin(op, l, r) => match (l.as_ref(), r.as_ref()) {
-                (Expr::Col(a), Expr::Lit(v)) => {
-                    let i = self.schema.index_of(a)? as u32;
+            // is preserved: fused leaves cannot error at run time (only
+            // resolved columns fuse; literals are values already), and
+            // an unresolved column takes the generic left-then-right path.
+            Expr::Bin(op, l, r) => match (self.column(l), self.column(r), r.as_ref()) {
+                (Some(i), _, Expr::Lit(v)) => {
                     let k = self.konst(v.clone());
                     self.ops.push(Op::BinColConst(*op, i, k));
                     1
                 }
-                (Expr::Col(a), Expr::Col(b)) => {
-                    let i = self.schema.index_of(a)? as u32;
-                    let j = self.schema.index_of(b)? as u32;
+                (Some(i), Some(j), _) => {
                     self.ops.push(Op::BinColCol(*op, i, j));
                     1
                 }
-                (_, Expr::Lit(v)) => {
-                    let nl = self.emit(l)?;
+                (_, _, Expr::Lit(v)) => {
+                    let nl = self.emit(l);
                     let k = self.konst(v.clone());
                     self.ops.push(Op::BinTopConst(*op, k));
                     nl
                 }
-                (_, Expr::Col(b)) => {
-                    let nl = self.emit(l)?;
-                    let j = self.schema.index_of(b)? as u32;
+                (_, Some(j), _) => {
+                    let nl = self.emit(l);
                     self.ops.push(Op::BinTopCol(*op, j));
                     nl
                 }
                 _ => {
-                    let nl = self.emit(l)?;
-                    let nr = self.emit(r)?;
+                    let nl = self.emit(l);
+                    let nr = self.emit(r);
                     self.ops.push(Op::Bin(*op));
                     nl.max(1 + nr)
                 }
             },
             Expr::Func(f, args) => {
-                f.check_arity(args.len())?;
+                // The walker checks arity before it evaluates any
+                // argument, so a bad call fails as a whole.
+                if let Err(err) = f.check_arity(args.len()) {
+                    return self.fail(err);
+                }
                 if *f == Func::If {
-                    let nc = self.emit(&args[0])?;
+                    let nc = self.emit(&args[0]);
                     let probe = self.ops.len();
                     self.ops.push(Op::IfProbe(0));
-                    let nt = self.emit(&args[1])?;
+                    let nt = self.emit(&args[1]);
                     let jump = self.ops.len();
                     self.ops.push(Op::Jump(0));
                     let else_at = self.ops.len() as u32;
                     self.patch(probe, else_at);
-                    let ne = self.emit(&args[2])?;
+                    let ne = self.emit(&args[2]);
                     let end = self.ops.len() as u32;
                     self.patch(jump, end);
                     nc.max(nt).max(ne)
                 } else {
-                    let argc = u16::try_from(args.len()).map_err(|_| RelationError::Internal {
-                        message: "function argument list too long",
-                    })?;
                     let mut need = 0usize;
                     for (i, a) in args.iter().enumerate() {
-                        need = need.max(i + self.emit(a)?);
+                        need = need.max(i + self.emit(a));
                     }
-                    self.ops.push(Op::Call(*f, argc));
+                    self.ops.push(Op::Call(*f, args.len()));
                     need
                 }
             }
             Expr::InList(x, list) => {
-                let n = self.emit(x)?;
-                self.lists.push(ListPool {
+                let n = self.emit(x);
+                self.pool.lists.push(ListPool {
                     items: list.clone(),
                     has_null: list.iter().any(Value::is_null),
                 });
-                self.ops.push(Op::InList((self.lists.len() - 1) as u32));
+                self.ops
+                    .push(Op::InList((self.pool.lists.len() - 1) as u32));
                 n
             }
             Expr::Between(x, lo, hi) => {
-                let nx = self.emit(x)?;
-                let nl = self.emit(lo)?;
-                let nh = self.emit(hi)?;
+                let nx = self.emit(x);
+                let nl = self.emit(lo);
+                let nh = self.emit(hi);
                 self.ops.push(Op::Between);
                 nx.max(1 + nl).max(2 + nh)
             }
-        })
+        }
     }
 }
 
@@ -520,9 +544,10 @@ pub fn fold(e: &Expr) -> Expr {
     if matches!(folded, Expr::Lit(_)) || has_columns(&folded) {
         return folded;
     }
-    // Column-free: evaluate now. On error keep the ops — the error
-    // belongs to run time, and only to paths that execute.
-    match folded.eval(&Schema::empty(), &[]) {
+    // Column-free: evaluate now, on the VM (the children are folded
+    // already). On error keep the ops — the error belongs to run time,
+    // and only to paths that execute.
+    match Program::lower(&folded, &Schema::empty()).eval_row(&[]) {
         Ok(v) => Expr::Lit(v),
         Err(_) => folded,
     }
@@ -557,13 +582,18 @@ mod tests {
 
     /// Oracle and VM agree (value or error) on an expression text.
     fn agree(text: &str) {
-        let e = parse(text).unwrap();
+        let _ = agree_on(&parse(text).unwrap());
+    }
+
+    /// Oracle and VM agree (value or error) on an expression; returns
+    /// the shared result.
+    fn agree_on(e: &Expr) -> Result<Value, RelationError> {
         let s = schema();
         let r = row();
         let oracle = e.eval(&s, &r);
-        let p = Program::compile(&e, &s).unwrap_or_else(|err| panic!("{text}: {err}"));
-        let got = Vm::new().run(&p, &r);
-        assert_eq!(got, oracle, "{text}");
+        let got = Vm::new().run(&Program::compile(e, &s), &r);
+        assert_eq!(got, oracle, "{e}");
+        got
     }
 
     #[test]
@@ -602,7 +632,7 @@ mod tests {
             let s = schema();
             let r = row();
             let oracle = e.eval(&s, &r).unwrap_err();
-            let p = Program::compile(&e, &s).unwrap();
+            let p = Program::compile(&e, &s);
             assert_eq!(Vm::new().run(&p, &r).unwrap_err(), oracle, "{text}");
         }
     }
@@ -624,21 +654,53 @@ mod tests {
     }
 
     #[test]
-    fn compile_resolves_and_declines() {
-        let s = schema();
-        // Unknown column anywhere declines compilation (the oracle only
-        // errors if the path executes — callers fall back to it).
-        assert!(Program::compile(&col("Nope"), &s).is_err());
-        assert!(Program::compile(&col("Cost").gt(lit(1)).and(col("Nope").eq(lit(1))), &s).is_err());
-        // ...unless folding removes the branch first, exactly as the
-        // oracle's short-circuit would have skipped it: `TRUE OR x`
-        // never resolves `x`.
-        assert!(Program::compile(&lit(true).or(col("Nope").eq(lit(1))), &s).is_ok());
-        // Bad arity declines at compile time.
-        assert!(matches!(
-            Program::compile(&Expr::Func(Func::Substr, vec![col("Patient")]), &s),
-            Err(RelationError::Arity { .. })
-        ));
+    fn compile_fails_exactly_where_the_walker_fails() {
+        let unknown = |e: &Expr| matches!(agree_on(e), Err(RelationError::Type(_)));
+        let arity = |e: &Expr| matches!(agree_on(e), Err(RelationError::Arity { .. }));
+        // An unknown column fails only where evaluation reaches it.
+        assert!(unknown(&col("Nope")));
+        assert!(unknown(&col("Cost").gt(lit(1)).and(col("Nope").eq(lit(1)))));
+        assert_eq!(
+            agree_on(&col("Cost").lt(lit(1)).and(col("Nope").eq(lit(1)))),
+            Ok(Value::Bool(false))
+        );
+        assert_eq!(
+            agree_on(&parse("if(Cost > 50, Cost, Nope)").unwrap()),
+            Ok(Value::Int(60))
+        );
+        assert!(unknown(&parse("if(Cost < 50, Cost, Nope)").unwrap()));
+        // Unresolved leaves skip the fused ops and keep the walker's
+        // left-then-right order: the left side's error comes first.
+        for text in [
+            "Nope + 1",
+            "1 + Nope",
+            "Nope = Cost",
+            "Cost = Nope",
+            "Nope = 1 / 0",
+        ] {
+            assert!(unknown(&parse(text).unwrap()), "{text}");
+        }
+        assert_eq!(
+            agree_on(&parse("1 / 0 = Nope").unwrap()),
+            Err(RelationError::DivisionByZero)
+        );
+        // A wrong-arity call fails as a whole, before its arguments run
+        // — and only when reached.
+        assert!(arity(&Expr::Func(Func::Substr, vec![col("Patient")])));
+        assert!(arity(&Expr::Func(Func::Upper, vec![col("Nope"), lit(1)])));
+        assert!(arity(&Expr::Func(Func::If, vec![lit(true), col("Cost")])));
+        assert!(arity(&Expr::Func(Func::Coalesce, vec![])));
+        assert_eq!(
+            agree_on(&col("Cost").lt(lit(0)).and(Expr::Func(Func::Substr, vec![]))).unwrap(),
+            Value::Bool(false)
+        );
+        // Any argument count the walker evaluates, the VM evaluates.
+        let mut args = vec![lit(Value::Null); usize::from(u16::MAX) + 5];
+        args.push(col("Cost"));
+        assert_eq!(
+            agree_on(&Expr::Func(Func::Coalesce, args)),
+            Ok(Value::Int(60))
+        );
     }
 
     #[test]
@@ -660,13 +722,13 @@ mod tests {
         assert_eq!(fold(&e), e);
         // Folding happens inside compile: a folded-constant predicate
         // compiles down to a single push.
-        let p = Program::compile(&parse("1 + 1 = 2").unwrap(), &schema()).unwrap();
+        let p = Program::compile(&parse("1 + 1 = 2").unwrap(), &schema());
         assert_eq!(p.len(), 1);
     }
 
     #[test]
     fn programs_share_ops_across_clones() {
-        let p = Program::compile(&parse("Cost > 10").unwrap(), &schema()).unwrap();
+        let p = Program::compile(&parse("Cost > 10").unwrap(), &schema());
         let q = p.clone();
         assert!(Arc::ptr_eq(&p.ops, &q.ops));
         assert_eq!(q.eval_row(&row()).unwrap(), Value::Bool(true));
@@ -678,13 +740,13 @@ mod tests {
         // each `n + rest` stages its literal before recursing into
         // `rest`, except the innermost `5 + Cost`, which fuses.
         let e = parse("1 + (2 + (3 + (4 + (5 + Cost))))").unwrap();
-        let p = Program::compile(&e, &schema()).unwrap();
+        let p = Program::compile(&e, &schema());
         assert_eq!(p.stack_need(), 5, "stack_need {}", p.stack_need());
         assert_eq!(Vm::new().run(&p, &row()).unwrap(), Value::Int(75));
         // Coalesce keeps all args on the stack at once (no short-circuit
         // in the oracle either — every arg is evaluated).
         let e = parse("coalesce(Doctor, Doctor, Doctor, Patient)").unwrap();
-        let p = Program::compile(&e, &schema()).unwrap();
+        let p = Program::compile(&e, &schema());
         assert!(p.stack_need() >= 4);
         assert_eq!(Vm::new().run(&p, &row()).unwrap(), Value::from("Alice"));
     }

@@ -12,14 +12,13 @@
 //! * [`expr`] — expression AST, SQL-style three-valued evaluation, static
 //!   type inference, a textual parser and a round-trippable printer, and
 //!   the stack-based bytecode VM ([`expr::Program`]/[`expr::Vm`]) that
-//!   every hot evaluation path compiles through;
+//!   every non-vectorized evaluation path compiles through;
 //! * [`scalar`] — morsel-parallel, [`bi_exec::ExecConfig`]-aware filter,
 //!   projection and derived column over compiled programs;
 //! * [`column`] — columnar chunks ([`column::ColumnChunk`]): typed
 //!   column vectors with validity bitmaps and dictionary-encoded text,
 //!   plus vectorized predicate kernels ([`column::kernel`]) that
 //!   evaluate a whole morsel per call;
-//! * [`index`] — hash indexes used by joins and policy lookups;
 //! * [`pretty`] — textual rendering of tables in the style of the paper's
 //!   Figs. 2–4;
 //! * [`error`] — the crate error type.
@@ -30,7 +29,6 @@ pub mod column;
 pub mod csv;
 pub mod error;
 pub mod expr;
-pub mod index;
 pub mod pretty;
 pub mod scalar;
 pub mod table;
@@ -42,6 +40,5 @@ pub use column::{
 };
 pub use error::RelationError;
 pub use expr::{fold, BinOp, Expr, Func, Program, Vm};
-pub use index::HashIndex;
 pub use scalar::{derive_scalar, filter_scalar, project_scalar, project_schema};
 pub use table::{Row, Table};

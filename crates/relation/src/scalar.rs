@@ -2,17 +2,17 @@
 //!
 //! The executor-facing twins of [`crate::filter_columnar`]: the same
 //! compile-once front end, but the scalar VM backend — which never
-//! declines on *types* (any expression the oracle can evaluate, the VM
-//! can run), only on compilation itself (unknown column, bad arity).
-//! Work is split into [`bi_exec::MORSEL_ROWS`] morsels under
-//! `cfg.threads`; each worker runs its own [`Vm`] over the shared
-//! program, and error discipline matches the serial walk exactly (the
-//! lowest-indexed morsel's error wins, which is the serial first
-//! error).
+//! declines: every expression compiles, and one the recursive walker
+//! would fail on fails on the same row with the same error (see
+//! [`Program::compile`]). Work is split into [`bi_exec::MORSEL_ROWS`]
+//! morsels under `cfg.threads`; each worker runs its own [`Vm`] over
+//! the shared program, and error discipline matches the serial walk
+//! exactly (the lowest-indexed morsel's error wins, which is the serial
+//! first error). [`Table::filter`] and [`Table::map_rows`] are these
+//! entry points on one thread.
 //!
 //! Counters (when `cfg.obs` is enabled): `vm.compile` per program
-//! compiled, `vm.exec` per operator run over a table, `vm.fallback`
-//! when compilation declined and the recursive walker served instead.
+//! compiled, `vm.exec` per operator run over a table.
 
 use std::sync::Arc;
 
@@ -25,7 +25,7 @@ use crate::table::{Row, Table};
 
 /// The output schema of a projection over `schema`: every derived
 /// column is nullable at its statically inferred type. This is the
-/// schema [`Table::map_rows`] / [`project_scalar`] produce; the
+/// schema [`project_scalar`] (and so [`Table::map_rows`]) produces; the
 /// pipeline executor uses it to compile later stages against a
 /// projection's output without materializing the intermediate table.
 pub fn project_schema(schema: &Schema, items: &[(String, Expr)]) -> Result<Schema, RelationError> {
@@ -38,20 +38,12 @@ pub fn project_schema(schema: &Schema, items: &[(String, Expr)]) -> Result<Schem
     Ok(Schema::new(cols)?)
 }
 
-/// [`Table::filter`] with a [`bi_exec::ExecConfig`]: compile once, run
-/// the scalar VM over row morsels in parallel. Declines of the compiler
-/// fall back to the (serial) recursive walker, preserving legacy
-/// behaviour exactly; results are byte-identical to the serial path at
-/// any thread count, including the storage-sharing fast path when every
-/// row survives.
+/// Rows of `table` satisfying `pred` (SQL semantics: NULL ⇒ excluded):
+/// compile once, run the scalar VM over row morsels in parallel.
+/// Results are byte-identical at any thread count. When every row
+/// survives, the result shares `table`'s row storage and version.
 pub fn filter_scalar(table: &Table, pred: &Expr, cfg: &ExecConfig) -> Result<Table, RelationError> {
-    let program = match Program::compile(pred, table.schema()) {
-        Ok(p) => p,
-        Err(_) => {
-            cfg.obs.count(Counter::VmFallback);
-            return table.filter(pred);
-        }
-    };
+    let program = Program::compile(pred, table.schema());
     cfg.obs.count(Counter::VmCompile);
     cfg.obs.count(Counter::VmExec);
     let kept: Vec<Vec<Row>> =
@@ -67,7 +59,7 @@ pub fn filter_scalar(table: &Table, pred: &Expr, cfg: &ExecConfig) -> Result<Tab
         })?;
     let n: usize = kept.iter().map(Vec::len).sum();
     if n == table.len() {
-        // Same storage-sharing fast path as the serial filter.
+        // Nothing dropped: share the storage instead of copying it.
         return Ok(table.clone());
     }
     let mut rows = Vec::with_capacity(n);
@@ -81,17 +73,16 @@ pub fn filter_scalar(table: &Table, pred: &Expr, cfg: &ExecConfig) -> Result<Tab
     ))
 }
 
-/// [`Table::map_rows`] with a [`bi_exec::ExecConfig`]: every projection
-/// item compiles once, then all items evaluate per row across parallel
-/// morsels. If *any* item declines to compile, the whole projection
-/// falls back to the serial walker so evaluation order (and the first
-/// error) matches legacy behaviour.
+/// Evaluates `items` per row into a new table with the given column
+/// names (a computed projection: SELECT e1 AS n1, …): every item
+/// compiles once, then all items evaluate per row, in item order,
+/// across parallel morsels.
 pub fn project_scalar(
     table: &Table,
     items: &[(String, Expr)],
     cfg: &ExecConfig,
 ) -> Result<Table, RelationError> {
-    let schema = table.map_rows_schema(items)?;
+    let schema = project_schema(table.schema(), items)?;
     let exprs: Vec<&Expr> = items.iter().map(|(_, e)| e).collect();
     let rows = eval_rows(table, &exprs, cfg, |cell| {
         let mut out = Vec::with_capacity(exprs.len());
@@ -126,7 +117,7 @@ pub fn derive_scalar(
         .map(|c| (c.name.clone(), crate::expr::col(&c.name)))
         .collect();
     items.push((column.to_string(), expr.clone()));
-    let schema = table.map_rows_schema(&items)?;
+    let schema = project_schema(table.schema(), &items)?;
     let cells = eval_rows(&table, &[expr], cfg, |cell| cell(0))?;
     table.append_column(Arc::new(schema), cells)
 }
@@ -137,29 +128,19 @@ type Cells<'a> = dyn FnMut(usize) -> Result<Value, RelationError> + 'a;
 /// Shared body of the projection paths: evaluates `exprs` on every row
 /// of `table`, and `emit` builds one output item per row from its
 /// cells. Each expression compiles once and runs on the scalar VM over
-/// parallel morsels; if *any* expression declines to compile, the
-/// serial walker serves the whole pass. Rows are visited in order and
-/// `emit` asks for cells in expression order, so the error returned is
-/// the serial walk's first (the lowest-indexed morsel's error wins).
+/// parallel morsels. Rows are visited in order and `emit` asks for
+/// cells in expression order, so the error returned is the serial
+/// walk's first (the lowest-indexed morsel's error wins).
 fn eval_rows<T: Send>(
     table: &Table,
     exprs: &[&Expr],
     cfg: &ExecConfig,
     emit: impl Fn(&mut Cells<'_>) -> Result<T, RelationError> + Sync,
 ) -> Result<Vec<T>, RelationError> {
-    let compiled: Result<Vec<Program>, RelationError> = exprs
+    let programs: Vec<Program> = exprs
         .iter()
         .map(|e| Program::compile(e, table.schema()))
         .collect();
-    let Ok(programs) = compiled else {
-        cfg.obs.count(Counter::VmFallback);
-        let schema = table.schema();
-        let mut out = Vec::with_capacity(table.len());
-        for row in table.rows() {
-            out.push(emit(&mut |i| exprs[i].eval(schema, row))?);
-        }
-        return Ok(out);
-    };
     cfg.obs.add(Counter::VmCompile, programs.len() as u64);
     cfg.obs.count(Counter::VmExec);
     let chunks: Vec<Vec<T>> =
@@ -244,18 +225,27 @@ mod tests {
     }
 
     #[test]
-    fn compile_decline_falls_back_and_counts() {
+    fn unknown_columns_fail_only_where_evaluation_reaches_them() {
         let t = table(64);
         let cfg = ExecConfig::serial().with_obs(bi_exec::Obs::enabled());
-        // Unknown column behind a short-circuit the folder cannot prove:
-        // `k >= 0` holds on every row, so the walker never resolves
-        // `nope` and the fallback succeeds where compilation declines.
+        // `k >= 0` holds on every row, so evaluation never reaches
+        // `nope` and the filter keeps every row, compiled as usual.
         let pred = col("k").ge(lit(0)).or(col("nope").eq(lit(1)));
         let got = filter_scalar(&t, &pred, &cfg).unwrap();
         assert_eq!(got.len(), t.len());
-        let snap = cfg.obs.snapshot();
-        assert_eq!(snap.counters.get("vm.fallback"), Some(&1));
-        assert_eq!(snap.counters.get("vm.compile"), None);
+        assert_eq!(cfg.obs.snapshot().counters.get("vm.compile"), Some(&1));
+        // `k < 0` never holds: every row reaches `nope`, and the first
+        // row raises the walker's error.
+        let pred = col("k").lt(lit(0)).or(col("nope").eq(lit(1)));
+        let want = pred.eval(t.schema(), &t.rows()[0]).unwrap_err();
+        assert!(matches!(want, RelationError::Type(_)));
+        for threads in [1, 2, 8] {
+            let cfg = ExecConfig::with_threads(threads);
+            assert_eq!(filter_scalar(&t, &pred, &cfg).unwrap_err(), want);
+        }
+        // An empty table never evaluates the predicate at all.
+        let empty = Table::new("E", t.schema().clone());
+        assert!(filter_scalar(&empty, &pred, &cfg).unwrap().is_empty());
     }
 
     /// `derive_scalar` is the projection of every column plus the new

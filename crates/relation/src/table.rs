@@ -3,10 +3,11 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use bi_exec::ExecConfig;
 use bi_types::{Schema, Value};
 
 use crate::error::RelationError;
-use crate::expr::{Expr, Program, Vm};
+use crate::expr::Expr;
 
 /// A row is an ordered list of cell values matching a [`Schema`].
 pub type Row = Vec<Value>;
@@ -233,54 +234,11 @@ impl Table {
         Ok(self.rows.iter().map(|r| r[c].clone()).collect())
     }
 
-    /// Rows satisfying `pred` (SQL semantics: NULL ⇒ excluded).
-    ///
-    /// The predicate is compiled once to a bytecode [`Program`] and run
-    /// per row; when compilation declines (unknown column, bad arity —
-    /// possibly in a branch the walker would never take) the recursive
-    /// [`Expr::eval`] walker takes over, reproducing legacy behaviour
-    /// exactly: an empty table succeeds, a non-empty one errors on its
-    /// first row.
+    /// Rows satisfying `pred` (SQL semantics: NULL ⇒ excluded): a
+    /// one-thread [`crate::filter_scalar`]. When every row survives, the
+    /// result shares this table's row storage and version.
     pub fn filter(&self, pred: &Expr) -> Result<Table, RelationError> {
-        match Program::compile(pred, &self.schema) {
-            Ok(p) => {
-                let mut vm = Vm::new();
-                self.filter_rows(|row| Ok(vm.run(&p, row)?.as_bool().unwrap_or(false)))
-            }
-            Err(_) => {
-                self.filter_rows(|row| Ok(pred.eval(&self.schema, row)?.as_bool().unwrap_or(false)))
-            }
-        }
-    }
-
-    /// Shared body of the filter paths: keeps rows where `keep` is
-    /// true, sharing the parent's row storage when nothing is dropped.
-    fn filter_rows(
-        &self,
-        mut keep: impl FnMut(&Row) -> Result<bool, RelationError>,
-    ) -> Result<Table, RelationError> {
-        let mut rows = Vec::new();
-        let mut kept_all = true;
-        for row in self.rows.iter() {
-            if keep(row)? {
-                rows.push(row.clone());
-            } else {
-                kept_all = false;
-            }
-        }
-        // When nothing was filtered out, share the parent's storage
-        // instead of materializing an identical copy.
-        let (rows, version) = if kept_all {
-            (Arc::clone(&self.rows), self.version)
-        } else {
-            (Arc::new(rows), next_version())
-        };
-        Ok(Table {
-            name: self.name.clone(),
-            schema: Arc::clone(&self.schema),
-            rows,
-            version,
-        })
+        crate::scalar::filter_scalar(self, pred, &ExecConfig::serial())
     }
 
     /// Keeps only the named columns, in order.
@@ -426,56 +384,11 @@ impl Table {
         })
     }
 
-    /// Evaluates `exprs` per row into a new table with the given column
-    /// names (a computed projection: SELECT e1 AS n1, …).
-    ///
-    /// Each item compiles once to a bytecode [`Program`]; if *any* item
-    /// declines to compile, the whole projection falls back to the
-    /// recursive walker so per-row evaluation order (and thus which
-    /// error surfaces first) matches legacy behaviour exactly.
+    /// Evaluates `items` per row into a new table with the given column
+    /// names (a computed projection: SELECT e1 AS n1, …): a one-thread
+    /// [`crate::project_scalar`].
     pub fn map_rows(&self, items: &[(String, Expr)]) -> Result<Table, RelationError> {
-        let schema = self.map_rows_schema(items)?;
-        let programs: Result<Vec<Program>, RelationError> = items
-            .iter()
-            .map(|(_, e)| Program::compile(e, &self.schema))
-            .collect();
-        let mut rows = Vec::with_capacity(self.rows.len());
-        match programs {
-            Ok(programs) => {
-                let mut vm = Vm::new();
-                for row in self.rows.iter() {
-                    let mut out = Vec::with_capacity(items.len());
-                    for p in &programs {
-                        out.push(vm.run(p, row)?);
-                    }
-                    rows.push(out);
-                }
-            }
-            Err(_) => {
-                for row in self.rows.iter() {
-                    let mut out = Vec::with_capacity(items.len());
-                    for (_, e) in items {
-                        out.push(e.eval(&self.schema, row)?);
-                    }
-                    rows.push(out);
-                }
-            }
-        }
-        Ok(Table {
-            name: self.name.clone(),
-            schema: Arc::new(schema),
-            rows: Arc::new(rows),
-            version: next_version(),
-        })
-    }
-
-    /// The result schema of [`Table::map_rows`]: every derived column
-    /// is nullable at its statically inferred type.
-    pub(crate) fn map_rows_schema(
-        &self,
-        items: &[(String, Expr)],
-    ) -> Result<Schema, RelationError> {
-        crate::scalar::project_schema(&self.schema, items)
+        crate::scalar::project_scalar(self, items, &ExecConfig::serial())
     }
 }
 

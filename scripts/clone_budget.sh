@@ -78,15 +78,17 @@ declare -A BUDGET=(
   [crates/exec/src/lib.rs]=0
   # Columnar layer: conversion clones cell values once into typed
   # vectors; kernels must operate on codes/primitives, never on Values.
-  [crates/relation/src/column/mod.rs]=2
+  [crates/relation/src/column/mod.rs]=1
   [crates/relation/src/column/kernel.rs]=6
   # Table: a derived table clones only the cells it keeps — each
-  # survivor of a filter or distinct once (and only when a row was
-  # dropped; otherwise the storage is shared), projected, sorted and
-  # unioned cells, first-seen group keys — plus its owned name. Non-test
-  # code is at 13; the other 4 sites are test fixtures. `distinct` used
-  # to clone every row into its hash set and every survivor again.
-  [crates/relation/src/table.rs]=17
+  # survivor of a distinct once (and only when a row was dropped;
+  # otherwise the storage is shared), projected, sorted and unioned
+  # cells, first-seen group keys — plus its owned name. Non-test code is
+  # at 10; the other 4 sites are test fixtures. `distinct` used to clone
+  # every row into its hash set and every survivor again. `filter` and
+  # `map_rows` are one-thread calls of the scalar entry points, whose
+  # survivor and name clones live in scalar.rs.
+  [crates/relation/src/table.rs]=14
   # Chunk cache: one Arc clone on hit, one on insert — cache paths must
   # never deep-copy column data.
   [crates/relation/src/column/cache.rs]=2

@@ -8,16 +8,14 @@
 //! dictionary-encoded text — through the vectorized filter kernels, the
 //! dictionary-code join, the dense-code group-by and the columnar
 //! QI-grouping in both anonymizers, at 1, 2 and 8 threads. Error cases
-//! must error identically, and dictionary overflow must fall back to the
-//! row path rather than diverge.
+//! must error identically.
 
 use plabi::anonymize::{kanon, mondrian, Hierarchy};
 use plabi::exec::ExecConfig;
 use plabi::prelude::*;
 use plabi::query::{execute, execute_with};
-use plabi::relation::column::kernel::filter_columnar_with_dict_limit;
 use plabi::relation::expr::{col, lit, Expr};
-use plabi::relation::{filter_columnar, ColumnChunk, ColumnarError};
+use plabi::relation::filter_columnar;
 use plabi::types::{Column, DataType, Schema};
 use proptest::prelude::*;
 
@@ -300,37 +298,6 @@ fn empty_table_is_identical_everywhere() {
         assert_eq!(serial.rows(), out.rows());
         assert_eq!(serial.schema(), out.schema());
     }
-}
-
-/// Dictionary overflow declines conversion and the vectorized filter,
-/// and the engine transparently falls back to the row path.
-#[test]
-fn dictionary_overflow_falls_back_to_row_engine() {
-    let schema = Schema::new(vec![
-        Column::new("Name", DataType::Text),
-        Column::new("V", DataType::Int),
-    ])
-    .unwrap();
-    let rows: Vec<Vec<Value>> = (0..50i64)
-        .map(|i| vec![Value::text(format!("p{i}")), Value::Int(i)])
-        .collect();
-    let t = Table::from_rows("People", schema, rows).unwrap();
-
-    // 50 distinct strings vs a 8-code dictionary: conversion must fail…
-    let err = ColumnChunk::from_table_cols_with_dict_limit(&t, &[0], 8).unwrap_err();
-    assert!(
-        matches!(err, ColumnarError::DictOverflow { .. }),
-        "got {err:?}"
-    );
-
-    // …the capped vectorized filter must decline rather than diverge…
-    let pred = col("Name").ne(lit("p7"));
-    assert!(filter_columnar_with_dict_limit(&t, &pred, &ExecConfig::columnar(), 8).is_none());
-
-    // …and the uncapped path still matches the row oracle exactly.
-    let oracle = t.filter(&pred).unwrap();
-    let out = filter_columnar(&t, &pred, &ExecConfig::columnar()).unwrap();
-    assert_eq!(oracle.rows(), out.rows());
 }
 
 /// Plans that error on the row engine error identically under a columnar

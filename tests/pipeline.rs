@@ -631,6 +631,50 @@ fn unreproducible_aggregate_declines_and_matches_oracle() {
     );
 }
 
+/// A filter naming a column the table lacks still fuses: every
+/// expression compiles, and the unknown column fails only on rows whose
+/// evaluation reaches it. When no row does, the fused result is the
+/// oracle's; when every row does, the oracle's error comes back.
+#[test]
+fn unresolvable_columns_fuse_and_fail_like_the_oracle() {
+    let rows: Vec<MixedRow> = (0..9000)
+        .map(|i| (Some(i % 40), None, Some((i % 6) as u8), None, None))
+        .collect();
+    let cat = mixed_catalog(&rows);
+    let plan = |guard: Expr| {
+        scan("Mixed")
+            .filter(guard.or(col("Ghost").eq(lit(1))))
+            .aggregate(vec!["Ward".into()], vec![AggItem::count_star("n")])
+    };
+    // `Age >= 0` holds on every row, so no row reaches `Ghost`.
+    let kept = plan(col("Age").ge(lit(0)));
+    let expect = execute(&kept, &cat).unwrap();
+    for threads in THREADS {
+        let obs = Obs::enabled();
+        let got = execute_with(&kept, &cat, &pipeline_cfg(threads).with_obs(obs.clone())).unwrap();
+        assert_eq!(got.rows(), expect.rows(), "threads: {threads}");
+        assert_eq!(got.schema(), expect.schema());
+        let snap = obs.snapshot();
+        assert_eq!(snap.counters.get("plan.choice.pipeline"), Some(&1));
+        assert_eq!(snap.counters.get("pipeline.decline.compile"), None);
+    }
+    // `Age < 0` holds on no row, so every row reaches `Ghost`.
+    let failing = plan(col("Age").lt(lit(0)));
+    let expect = execute(&failing, &cat).unwrap_err();
+    assert!(
+        expect.to_string().contains("Ghost"),
+        "the oracle names the unknown column: {expect}"
+    );
+    for threads in THREADS {
+        let obs = Obs::enabled();
+        let got = execute_with(&failing, &cat, &pipeline_cfg(threads).with_obs(obs.clone()));
+        assert_eq!(got.unwrap_err(), expect, "threads: {threads}");
+        let snap = obs.snapshot();
+        assert_eq!(snap.counters.get("pipeline.decline.compile"), None);
+        assert_eq!(snap.counters.get("pipeline.fallback.error"), Some(&1));
+    }
+}
+
 /// `Limit 0` over a stage that can fail still evaluates every row, as
 /// the oracle's Limit does over its fully materialized input: a
 /// division by zero surfaces as the same typed error, not as an empty
