@@ -1,12 +1,14 @@
 //! Row-at-a-time vs vectorized columnar executor timings.
 //!
-//! Times the three operators the columnar engine vectorizes — predicate
-//! filter (selection-vector kernels), equality join (the fused
-//! pipeline's streamed probe over dictionary codes, with a materialize
-//! sink) and code-slotted grouped aggregation — at several table sizes,
-//! all on a single thread so the speedup is purely algorithmic. Verifies
-//! the columnar output is *identical* to the row-engine one and writes
-//! `BENCH_columnar.json` for `scripts/bench_smoke.sh`.
+//! Times three lone operators, each a one-operator plan the columnar
+//! engine runs through its one executor, the fused pipeline — predicate
+//! filter (selection-vector kernels into a materialize sink), equality
+//! join (the streamed probe over dictionary codes) and grouped
+//! aggregation (code-slotted groups, typed aggregate kernels) — at
+//! several table sizes, all on a single thread so the speedup is purely
+//! algorithmic. Verifies the columnar output is *identical* to the
+//! row-engine one and writes `BENCH_columnar.json` for
+//! `scripts/bench_smoke.sh`.
 //!
 //! Usage: `cargo run --release -p bi-bench --bin bench_columnar --
 //! [--full] [--out PATH]`. `--full` adds a 1M-row size.

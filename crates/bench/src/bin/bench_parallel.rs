@@ -2,7 +2,7 @@
 //!
 //! Sweeps thread counts {1, 2, 4, 8} over the row-engine predicate
 //! filter — the operator whose row path fans out over morsels (joins
-//! and group-bys run the columnar kernel or the serial row engine) —
+//! and group-bys run the fused pipeline or the serial row engine) —
 //! at several table sizes, verifies every output is *identical* to the
 //! serial one, and writes `BENCH_parallel.json` for
 //! `scripts/bench_smoke.sh`.
@@ -17,9 +17,12 @@
 //!   reported as speedup 1.000 rather than re-measured noise. Each
 //!   point also records which engine served it (`plan.choice.*`).
 //!
-//! A separate repeated-render section measures the version-keyed chunk
-//! cache: the same columnar report plan rendered cold (cache cleared)
-//! and warm, with hit/miss counts from the obs layer.
+//! A deep-plan section times the obligation-shaped Filter → Project →
+//! GroupBy chain fused against its three operators run as lone plans
+//! over materialized intermediates. A separate repeated-render section
+//! measures the version-keyed chunk cache: the same columnar report
+//! plan rendered cold (cache cleared) and warm, with hit/miss counts
+//! from the obs layer.
 //!
 //! Usage: `cargo run --release -p bi-bench --bin bench_parallel --
 //! [--quick] [--out PATH]`. `--quick` drops the 1M-row size so the
@@ -69,17 +72,17 @@ fn catalog(rows: usize) -> Catalog {
     cat
 }
 
-/// Per-execution wall time in milliseconds (best of three batches,
+/// Per-call wall time of `run` in milliseconds (best of three batches,
 /// each batched to clear [`MIN_BATCH_MS`]), plus one output table.
-fn time_plan(plan: &bi_core::query::Plan, cat: &Catalog, cfg: &ExecConfig) -> (f64, Table) {
+fn time_best(mut run: impl FnMut() -> Table) -> (f64, Table) {
     // Untimed warm-up: first-touch allocator costs are not steady-state
     // per-op time.
-    let out = execute_with(plan, cat, cfg).expect("bench plan executes");
+    let out = run();
     let mut iters = 1usize;
     loop {
         let t0 = Instant::now();
         for _ in 0..iters {
-            let _ = execute_with(plan, cat, cfg).expect("bench plan executes");
+            let _ = run();
         }
         if t0.elapsed().as_secs_f64() * 1e3 >= MIN_BATCH_MS {
             break;
@@ -90,11 +93,16 @@ fn time_plan(plan: &bi_core::query::Plan, cat: &Catalog, cfg: &ExecConfig) -> (f
     for _ in 0..3 {
         let t0 = Instant::now();
         for _ in 0..iters {
-            let _ = execute_with(plan, cat, cfg).expect("bench plan executes");
+            let _ = run();
         }
         best = best.min(t0.elapsed().as_secs_f64() * 1e3 / iters as f64);
     }
     (best, out)
+}
+
+/// [`time_best`] of one plan execution.
+fn time_plan(plan: &bi_core::query::Plan, cat: &Catalog, cfg: &ExecConfig) -> (f64, Table) {
+    time_best(|| execute_with(plan, cat, cfg).expect("bench plan executes"))
 }
 
 /// Which engine the planner chose for the plan's interesting operator,
@@ -196,29 +204,38 @@ fn repeated_render(rows: usize) -> String {
 /// Obligation-shaped deep plan — Filter → Project → GroupBy, the chain
 /// PLA row restrictions and retention cutoffs rewrite reports into —
 /// timed at one thread so the speedup isolates fusion, not parallelism:
-/// the fused morsel pipeline versus the same columnar engine running
-/// operator-at-a-time (`with_pipeline(false)`), outputs verified
-/// identical.
+/// the fused morsel pipeline versus the same columnar engine run
+/// operator-at-a-time — the plan's three operators as three lone plans
+/// (each fused on its own), every one over the previous one's
+/// materialized table — outputs verified identical.
 fn deep_plan_bench(rows: usize) -> String {
     let cat = catalog(rows);
+    let filter = col("V").ge(lit(250)).and(col("K").is_null().not());
+    let items = vec![("G".to_string(), col("G")), ("V".to_string(), col("V"))];
+    let aggs = vec![
+        AggItem::count_star("n"),
+        AggItem::new("total", bi_core::query::AggFunc::Sum, "V"),
+    ];
     let plan = scan("Fact")
-        .filter(col("V").ge(lit(250)).and(col("K").is_null().not()))
-        .project(vec![
-            ("G".to_string(), col("G")),
-            ("V".to_string(), col("V")),
-        ])
-        .aggregate(
-            vec!["G".into()],
-            vec![
-                AggItem::count_star("n"),
-                AggItem::new("total", bi_core::query::AggFunc::Sum, "V"),
-            ],
-        );
-    let columnar = ExecConfig::with_threads(1)
-        .with_columnar(true)
-        .with_pipeline(false);
+        .filter(filter.clone())
+        .project(items.clone())
+        .aggregate(vec!["G".into()], aggs.clone());
     let fused = ExecConfig::with_threads(1).with_columnar(true);
-    let (c_ms, c_out) = time_plan(&plan, &cat, &columnar);
+    let steps = [
+        scan("Fact").filter(filter),
+        scan("Fact").project(items),
+        scan("Fact").aggregate(vec!["G".into()], aggs),
+    ];
+    let lone = || {
+        let mut t = cat.table("Fact").expect("fact table").clone();
+        for step in &steps {
+            let mut input = Catalog::new();
+            input.put_table(t);
+            t = execute_with(step, &input, &fused).expect("bench plan executes");
+        }
+        t
+    };
+    let (c_ms, c_out) = time_best(lone);
     let (p_ms, p_out) = time_plan(&plan, &cat, &fused);
     assert_eq!(
         c_out.rows(),
@@ -233,7 +250,7 @@ fn deep_plan_bench(rows: usize) -> String {
     let choice = plan_choice(&plan, &cat, &fused);
     let speedup = c_ms / p_ms;
     eprintln!(
-        "{rows:>8} rows  deep plan: columnar {c_ms:8.3} ms  pipeline {p_ms:8.3} ms  \
+        "{rows:>8} rows  deep plan: lone operators {c_ms:8.3} ms  pipeline {p_ms:8.3} ms  \
          x{speedup:.2}  [{choice}]"
     );
     format!(

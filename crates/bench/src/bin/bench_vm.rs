@@ -7,7 +7,8 @@
 //! times the recursive walker (per-row `Expr::eval`), the VM
 //! (`filter_scalar` / `project_scalar`, single thread so the speedup is
 //! purely algorithmic) and — where the predicate vectorizes — the
-//! columnar selection-vector kernels, verifying all backends produce
+//! columnar engine's filter plan (the fused pipeline's selection-vector
+//! kernels, through `execute_with`), verifying all backends produce
 //! identical output and writing `BENCH_vm.json` for
 //! `scripts/bench_smoke.sh`.
 //!
@@ -23,8 +24,10 @@
 use std::time::Instant;
 
 use bi_core::exec::ExecConfig;
+use bi_core::query::plan::scan;
+use bi_core::query::{execute_with, Catalog};
 use bi_core::relation::expr::{col, lit};
-use bi_core::relation::{filter_columnar, filter_scalar, project_scalar, BinOp, Expr, Table};
+use bi_core::relation::{filter_scalar, project_scalar, BinOp, CompiledPredicate, Expr, Table};
 use bi_core::types::{Column, DataType, Date, Schema, Value};
 
 /// Fact(Patient, Disease, Cost, Date) shaped like the warehouse tables
@@ -241,6 +244,8 @@ fn main() {
     let mut size_entries = Vec::new();
     for &rows in sizes {
         let t = fact(rows);
+        let mut cat = Catalog::new();
+        cat.put_table(t.clone());
         let iters = if rows >= 1_000_000 { 2 } else { 5 };
         let pairs = if rows >= 1_000_000 { 3 } else { PAIRS };
         let mut op_entries = Vec::new();
@@ -258,11 +263,12 @@ fn main() {
                 p.vm_out.rows(),
                 "{op}@{rows}: VM diverges from the walker"
             );
-            let columnar_ms = filter_columnar(&t, pred, &col_cfg).map(|first| {
+            let vectorizes = CompiledPredicate::compile(pred, t.schema()).is_some();
+            let columnar_ms = vectorizes.then(|| {
+                let plan = scan("Fact").filter(pred.clone());
                 let (ms, out) = time_best(iters, || {
-                    filter_columnar(&t, pred, &col_cfg).expect("columnar path compiled once")
+                    execute_with(&plan, &cat, &col_cfg).expect("bench filter executes")
                 });
-                assert_eq!(first.rows(), out.rows(), "{op}@{rows}: columnar unstable");
                 assert_eq!(
                     ast_out.rows(),
                     out.rows(),

@@ -39,12 +39,13 @@ pub const MORSEL_ROWS: usize = 4096;
 /// the workspace: `threads = 1` reproduces the serial engine exactly
 /// (no pool, no reordering), `threads = 0` asks for one worker per
 /// available core. Threads drive morsel loops (scalar filters and
-/// projections, columnar probes, fused pipelines, anonymization, batch
-/// delivery); the row engine's joins and group-bys always run serially.
-/// `columnar = true` lets operators that have a vectorized
-/// implementation (filter kernels, dictionary-code joins and group-bys)
-/// run it; the row-at-a-time engine remains the oracle, and every
-/// columnar operator is required to produce byte-identical output or
+/// projections, fused pipelines, anonymization, batch delivery); the
+/// row engine's joins and group-bys always run serially.
+/// `columnar = true` lets plans run vectorized: filters, projections,
+/// joins and group-bys through the fused pipeline (filter kernels,
+/// dictionary-code joins, code-slotted groups), sorts through the typed
+/// sort kernel; the row-at-a-time engine remains the oracle, and every
+/// columnar path is required to produce byte-identical output or
 /// decline and fall back to it.
 ///
 /// The config also carries the [`Obs`] recorder handle every operator
@@ -60,10 +61,11 @@ pub struct ExecConfig {
     pub threads: usize,
     /// Allow vectorized columnar operators. `false` = row engine only.
     pub columnar: bool,
-    /// Allow fused pipeline execution of operator chains (requires
-    /// `columnar`). `false` pins operator-at-a-time execution — the
-    /// decline target and the baseline the pipeline executor is
-    /// benchmarked against.
+    /// Allow fused pipeline execution (requires `columnar`): every
+    /// Filter/Project/Join/Aggregate root, lone operators included, is
+    /// the pipeline's. `false` pins operator-at-a-time execution — row
+    /// filters, projections, joins and group-bys plus the columnar sort,
+    /// the pipeline's decline target.
     pub pipeline: bool,
     /// Treat `threads` as exact rather than a cap: skip the
     /// [`effective_parallelism`] clamp in [`ExecConfig::effective_threads`].
@@ -163,7 +165,7 @@ impl ExecConfig {
 
     /// Builder: the same configuration with fused pipeline execution
     /// switched on or off. Off = operator-at-a-time only (the pipeline
-    /// executor's decline target and bench baseline).
+    /// executor's decline target).
     pub fn with_pipeline(self, pipeline: bool) -> Self {
         ExecConfig { pipeline, ..self }
     }

@@ -83,18 +83,6 @@ counters! {
     QuerySort => "query.op.sort",
     /// One `Plan::Limit` evaluated.
     QueryLimit => "query.op.limit",
-    /// Vectorized filter kernel served the operator.
-    ColumnarFilterHit => "columnar.filter.hit",
-    /// Filter predicate did not compile to kernels; row fallback.
-    ColumnarFilterDeclineCompile => "columnar.filter.decline.compile",
-    /// Filter input declined chunk conversion; row fallback.
-    ColumnarFilterDeclineConvert => "columnar.filter.decline.convert",
-    /// Dense-code group-by served the operator.
-    ColumnarGroupByHit => "columnar.groupby.hit",
-    /// Group-by shape unsupported (empty key, invariant break); row fallback.
-    ColumnarGroupByDeclineShape => "columnar.groupby.decline.shape",
-    /// Group-by input declined chunk conversion; row fallback.
-    ColumnarGroupByDeclineConvert => "columnar.groupby.decline.convert",
     /// Typed sort/top-k kernel served the operator.
     ColumnarSortHit => "columnar.sort.hit",
     /// Sort input declined chunk conversion; row fallback.
@@ -161,12 +149,12 @@ counters! {
     /// Version-keyed column cache built and stored a chunk column
     /// (strategy counter — excluded from snapshot equality).
     ChunkCacheMiss => "chunk.cache.miss",
-    /// An operator ran on the serial row engine: columnar was off or its
-    /// kernel declined (strategy counter — excluded from snapshot
-    /// equality).
+    /// An operator ran on the serial row engine: columnar or the
+    /// pipeline was off, or the pipeline or sort kernel declined
+    /// (strategy counter — excluded from snapshot equality).
     PlanChoiceSerial => "plan.choice.serial",
-    /// A vectorized columnar kernel served an operator (strategy
-    /// counter — excluded from snapshot equality).
+    /// The typed sort/top-k kernel served an operator (strategy counter
+    /// — excluded from snapshot equality).
     PlanChoiceColumnar => "plan.choice.columnar",
     /// A fused pipeline served an operator chain in one morsel pass
     /// (strategy counter — excluded from snapshot equality).
@@ -178,8 +166,8 @@ counters! {
     /// A fused chain's kernel filters needed a chunk conversion that
     /// declined; the chain ran operator-at-a-time instead.
     PipelineDeclineConvert => "pipeline.decline.convert",
-    /// A fused chain's sink shape is not supported by partial-aggregate
-    /// states (e.g. a malformed aggregate the oracle must error on);
+    /// A fused chain's aggregate header didn't resolve (the oracle must
+    /// raise that error), or its join has no keys or cross-typed keys;
     /// the chain ran operator-at-a-time instead.
     PipelineDeclineShape => "pipeline.decline.shape",
     /// A fused run surfaced an error; the chain re-ran operator-at-a-

@@ -6,37 +6,33 @@
 //! ETL, warehouse loading, and enforced report rendering.
 //!
 //! [`execute_with`] takes a [`bi_exec::ExecConfig`]. With
-//! `ExecConfig::columnar` and `ExecConfig::pipeline` set, fusible chains
-//! — and every equality join — go through the push-based pipeline
-//! ([`crate::pipeline`]) first: joins stream their probe side against
-//! the build side's cached key chunk and never build the joined table
-//! unless it is the result. Whatever the pipeline declines runs here,
-//! operator at a time. A grouped aggregate or a sort has two rungs: the
-//! columnar kernel when `ExecConfig::columnar` is set and the inputs
-//! convert, else the serial row engine, which is the byte-identity
-//! oracle; joins here always run on the serial row join. Every decision
-//! is counted (`plan.choice.{pipeline,columnar,serial}`). `threads`
-//! parallelizes the morsel loops underneath (scalar filters and
-//! projections, fused pipelines); they reassemble in morsel order, so
-//! results (rows *and* row order) are identical at any thread count.
+//! `ExecConfig::columnar` and `ExecConfig::pipeline` set, every
+//! Filter/Project/Join/Aggregate root (and a Limit over one) goes
+//! through the push-based pipeline ([`crate::pipeline`]), lone operators
+//! included: it is the one columnar executor for them. Joins stream
+//! their probe side against the build side's cached key chunk and never
+//! build the joined table unless it is the result. Whatever the pipeline
+//! declines runs here, operator at a time, on the row engine — the
+//! byte-identity oracle; joins here always run on the serial row join.
+//! A sort has two rungs: the columnar kernel (including fused
+//! `Limit(Sort(…))` top-k, which orders typed vectors through
+//! [`bi_relation::sort_permutation`]) when `ExecConfig::columnar` is set
+//! and its key columns convert, else the row engine's stable sort.
+//! Every decision is counted (`plan.choice.{pipeline,columnar,serial}`).
+//! `threads` parallelizes the morsel loops underneath (scalar filters
+//! and projections, fused pipelines); they reassemble in morsel order,
+//! so results (rows *and* row order) are identical at any thread count.
 //!
-//! With `ExecConfig::columnar` set, operators first try columnar
-//! kernels: filters compile to vectorized predicates over
-//! [`bi_relation::ColumnChunk`]s, group-bys slot rows by per-column
-//! codes (dictionary codes for text, each cached column's dense codes
-//! otherwise) instead of `Value` hashing, with vectorized aggregate
-//! kernels over the typed columns, and sorts (including fused
-//! `Limit(Sort(…))` top-k) order typed vectors through
-//! [`bi_relation::sort_permutation`]. Chunk conversions are served from
-//! the process-wide version-keyed column cache, so repeated renders of
-//! an unchanged warehouse convert nothing (`chunk.cache.hit/miss`).
-//! Every columnar operator either produces a byte-identical result
-//! (rows, order, schema, name) or declines and falls back to the row
-//! engine, so the row path remains the oracle.
+//! Chunk conversions are served from the process-wide version-keyed
+//! column cache, so repeated renders of an unchanged warehouse convert
+//! nothing (`chunk.cache.hit/miss`). Every columnar path either
+//! produces a byte-identical result (rows, order, schema, name) or
+//! declines and falls back to the row engine, so the row path remains
+//! the oracle.
 //!
-//! Row-at-a-time scalar evaluation (filters that the columnar kernels
-//! decline, and all projections) goes through the expression bytecode
-//! VM via [`bi_relation::filter_scalar`] / [`bi_relation::project_scalar`]:
+//! Row-at-a-time scalar evaluation (the operator-at-a-time filters and
+//! projections) goes through the expression bytecode VM via
+//! [`bi_relation::filter_scalar`] / [`bi_relation::project_scalar`]:
 //! predicates compile once per operator and execute without recursion
 //! or per-row allocation.
 
@@ -160,12 +156,11 @@ pub(crate) fn exec_guarded(
     }
 }
 
-/// The Filter operator over a materialized input: columnar kernel first
-/// (when the config allows), scalar VM otherwise. Also used by the
-/// pipeline executor's operator-at-a-time fallback, so declines there
-/// count and behave exactly like the tree walk. The engine that served
-/// the filter is recorded (`plan.choice.columnar` / `plan.choice.serial`)
-/// so benches see a concrete decision for every operator.
+/// The Filter operator over a materialized input, on the scalar VM.
+/// Also used by the pipeline executor's operator-at-a-time fallback, so
+/// declines there count and behave exactly like the tree walk. The
+/// engine is recorded (`plan.choice.serial`) so benches see a concrete
+/// decision for every operator.
 pub(crate) fn filter_op(
     t: &Table,
     pred: &bi_relation::Expr,
@@ -174,12 +169,6 @@ pub(crate) fn filter_op(
     use bi_exec::Counter;
     cfg.obs.count(Counter::QueryFilter);
     let _span = cfg.obs.span(bi_exec::SpanKind::QueryFilter);
-    if cfg.columnar {
-        if let Some(out) = bi_relation::filter_columnar(t, pred, cfg) {
-            cfg.obs.count(Counter::PlanChoiceColumnar);
-            return Ok(out);
-        }
-    }
     cfg.obs.count(Counter::PlanChoiceSerial);
     Ok(bi_relation::filter_scalar(t, pred, cfg)?)
 }
@@ -195,8 +184,8 @@ pub(crate) fn project_op(
     Ok(bi_relation::project_scalar(t, items, cfg)?)
 }
 
-/// The Aggregate operator over a materialized input. Shared with the
-/// pipeline fallback.
+/// The Aggregate operator over a materialized input, on the row
+/// engine. Shared with the pipeline fallback.
 pub(crate) fn aggregate_op(
     t: &Table,
     group_by: &[String],
@@ -205,7 +194,8 @@ pub(crate) fn aggregate_op(
 ) -> Result<Table, QueryError> {
     cfg.obs.count(bi_exec::Counter::QueryAggregate);
     let _span = cfg.obs.span(bi_exec::SpanKind::QueryAggregate);
-    aggregate_with(t, group_by, aggs, cfg)
+    cfg.obs.count(bi_exec::Counter::PlanChoiceSerial);
+    aggregate(t, group_by, aggs)
 }
 
 /// The plain (non-top-k) Limit operator over a materialized input.
@@ -373,279 +363,8 @@ pub(crate) fn join_op(
     Ok(out)
 }
 
-fn aggregate_with(
-    input: &Table,
-    group_by: &[String],
-    aggs: &[AggItem],
-    cfg: &ExecConfig,
-) -> Result<Table, QueryError> {
-    use bi_exec::Counter;
-    // The columnar kernel groups by key codes; a global aggregate has
-    // no key and stays on the row engine.
-    if cfg.columnar && !group_by.is_empty() {
-        if let Some(out) = aggregate_columnar(input, group_by, aggs, cfg)? {
-            cfg.obs.count(Counter::PlanChoiceColumnar);
-            return Ok(out);
-        }
-    }
-    cfg.obs.count(Counter::PlanChoiceSerial);
-    aggregate(input, group_by, aggs)
-}
-
-/// Columnar group-by, any number of key columns: rows slot into groups
-/// by their key columns' codes through [`crate::pipeline::GroupSlots`]
-/// (the fused aggregate sink's grouping routine), so grouping is integer
-/// indexing instead of per-row `Value` hashing, and groups come out in
-/// first-appearance order — exactly the group order the serial engine
-/// emits. Aggregates run on vectorized kernels over the typed argument
-/// columns when one applies ([`eval_agg_columnar`]), falling back to
-/// [`eval_agg`] per aggregate otherwise, so results — including error
-/// cases — are identical. Key and argument columns are served from the
-/// version-keyed chunk cache, and a key column's dense codes are built
-/// once per cached column. Returns `Ok(None)` for tables that decline
-/// columnar conversion of the key columns.
-fn aggregate_columnar(
-    input: &Table,
-    group_by: &[String],
-    aggs: &[AggItem],
-    cfg: &ExecConfig,
-) -> Result<Option<Table>, QueryError> {
-    use bi_exec::Counter;
-    use bi_relation::ColumnChunk;
-    if group_by.is_empty() {
-        cfg.obs.count(Counter::ColumnarGroupByDeclineShape);
-        return Ok(None);
-    }
-    let (schema, arg_idx) = aggregate_header(input.schema(), group_by, aggs)?;
-    let key_cols: Vec<usize> = group_by
-        .iter()
-        .map(|g| input.schema().index_of(g))
-        .collect::<Result<_, _>>()?;
-    let chunk = match ColumnChunk::from_table_cols_cached(input, &key_cols, cfg) {
-        Ok(c) => c,
-        Err(e) => {
-            cfg.obs.count(e.counter());
-            cfg.obs.count(Counter::ColumnarGroupByDeclineConvert);
-            return Ok(None);
-        }
-    };
-    // The conversion materialized exactly these columns; decline to the
-    // row engine rather than abort if that invariant ever breaks.
-    let key_data: Option<Vec<&bi_relation::ChunkColumn>> =
-        key_cols.iter().map(|&c| chunk.column(c)).collect();
-    let Some(key_data) = key_data else {
-        cfg.obs.count(Counter::ColumnarGroupByDeclineShape);
-        return Ok(None);
-    };
-    cfg.obs.count(Counter::ColumnarConvert);
-    cfg.obs.count(Counter::ColumnarGroupByHit);
-
-    // Slot rows into groups by their key columns' codes (dictionary
-    // codes for text, the column's cached dense codes otherwise):
-    // first-appearance ids, exactly the group order the serial engine
-    // emits.
-    let codes: Vec<bi_relation::GroupCodes> = key_data.iter().map(|c| c.group_codes()).collect();
-    let cards: Vec<u32> = codes.iter().map(|c| c.cardinality()).collect();
-    let mut slots = crate::pipeline::GroupSlots::new(&cards);
-    let mut key = vec![0u32; codes.len()];
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for i in 0..input.len() {
-        for (k, c) in key.iter_mut().zip(&codes) {
-            *k = c.code(i);
-        }
-        let (g, fresh) = slots.slot(&key);
-        if fresh {
-            groups.push(Vec::new());
-        }
-        groups[g as usize].push(i);
-    }
-
-    // Argument columns for the vectorized kernels, from the same cache.
-    // A column that declines conversion only sends *its* aggregates to
-    // the row fallback; `ColumnarConvert` still counts one conversion
-    // per operator (the key chunk) so served-operator counts stay
-    // comparable across kernel generations.
-    let arg_chunks: Vec<Option<ColumnChunk>> = arg_idx
-        .iter()
-        .map(|arg| {
-            let c = (*arg)?;
-            match ColumnChunk::from_table_cols_cached(input, &[c], cfg) {
-                Ok(ch) => Some(ch),
-                Err(e) => {
-                    cfg.obs.count(e.counter());
-                    None
-                }
-            }
-        })
-        .collect();
-
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(groups.len());
-    for members in &groups {
-        // The serial engine emits the *first* row's key values verbatim
-        // (matters for Value-equal but distinct bytes, e.g. -0.0/0.0).
-        let mut row: Vec<Value> = key_cols
-            .iter()
-            .map(|&c| input.rows()[members[0]][c].clone())
-            .collect();
-        for ((a, arg), arg_chunk) in aggs.iter().zip(&arg_idx).zip(&arg_chunks) {
-            let kernel = match (arg_chunk, arg) {
-                (Some(ch), Some(c)) => ch
-                    .column(*c)
-                    .and_then(|col| eval_agg_columnar(a.func, col, members)),
-                _ => None,
-            };
-            row.push(match kernel {
-                Some(v) => v?,
-                None => eval_agg(a.func, input, members, *arg)?,
-            });
-        }
-        rows.push(row);
-    }
-    Ok(Some(Table::from_rows_trusted(
-        input.name().to_string(),
-        schema,
-        rows,
-    )))
-}
-
-/// `Value::cmp` of cells `i` and `j` of one typed column (both valid).
-fn cmp_cells(data: &bi_relation::ColumnData, i: usize, j: usize) -> std::cmp::Ordering {
-    use bi_relation::ColumnData;
-    match data {
-        ColumnData::Bool(v) => v[i].cmp(&v[j]),
-        ColumnData::Int(v) => v[i].cmp(&v[j]),
-        ColumnData::Float(v) => Value::norm_float(v[i]).total_cmp(&Value::norm_float(v[j])),
-        ColumnData::Date(v) => v[i].cmp(&v[j]),
-        ColumnData::Text { codes, dict } => dict.get(codes[i]).cmp(dict.get(codes[j])),
-    }
-}
-
-/// Vectorized aggregate over one group's members of a typed column.
-/// Returns `None` when no kernel applies — the caller falls back to
-/// [`eval_agg`], which also owns every error message — and otherwise
-/// replicates [`eval_agg`]'s semantics bit for bit: NULL skipping,
-/// row-order float accumulation, `checked_add` overflow with the same
-/// error, `Value`-equality distinctness, first-minimum/last-maximum
-/// selection (`Iterator::min`/`max`), empty-group `Null`.
-fn eval_agg_columnar(
-    func: AggFunc,
-    col: &bi_relation::ChunkColumn,
-    members: &[usize],
-) -> Option<Result<Value, QueryError>> {
-    use bi_relation::ColumnData;
-    let valid = |i: usize| !col.validity.is_null(i);
-    Some(match (func, &col.data) {
-        (AggFunc::Count, _) => Ok(Value::Int(
-            members.iter().filter(|&&i| valid(i)).count() as i64
-        )),
-        (AggFunc::CountDistinct, data) => {
-            let mut set: std::collections::HashSet<u64> = std::collections::HashSet::new();
-            for &i in members {
-                if !valid(i) {
-                    continue;
-                }
-                // Injective per type; floats via `float_key` so NaN and
-                // ±0.0 collapse exactly as `Value` equality does.
-                set.insert(match data {
-                    ColumnData::Bool(v) => v[i] as u64,
-                    ColumnData::Int(v) => v[i] as u64,
-                    ColumnData::Float(v) => Value::float_key(v[i]),
-                    ColumnData::Date(v) => v[i].days_from_epoch() as u64,
-                    ColumnData::Text { codes, .. } => codes[i] as u64,
-                });
-            }
-            Ok(Value::Int(set.len() as i64))
-        }
-        (AggFunc::Sum, ColumnData::Int(v)) => {
-            let mut sum = 0i64;
-            let mut any = false;
-            for &i in members {
-                if !valid(i) {
-                    continue;
-                }
-                any = true;
-                sum = match sum.checked_add(v[i]) {
-                    Some(s) => s,
-                    None => {
-                        return Some(Err(
-                            bi_relation::RelationError::Overflow { op: "sum" }.into()
-                        ))
-                    }
-                };
-            }
-            Ok(if any { Value::Int(sum) } else { Value::Null })
-        }
-        (AggFunc::Sum, ColumnData::Float(v)) => {
-            let mut sum = 0.0f64;
-            let mut any = false;
-            for &i in members {
-                if valid(i) {
-                    any = true;
-                    sum += v[i];
-                }
-            }
-            Ok(if any { Value::Float(sum) } else { Value::Null })
-        }
-        (AggFunc::Avg, ColumnData::Int(v)) => {
-            let mut sum = 0.0f64;
-            let mut n = 0usize;
-            for &i in members {
-                if valid(i) {
-                    sum += v[i] as f64;
-                    n += 1;
-                }
-            }
-            Ok(if n == 0 {
-                Value::Null
-            } else {
-                Value::Float(sum / n as f64)
-            })
-        }
-        (AggFunc::Avg, ColumnData::Float(v)) => {
-            let mut sum = 0.0f64;
-            let mut n = 0usize;
-            for &i in members {
-                if valid(i) {
-                    sum += v[i];
-                    n += 1;
-                }
-            }
-            Ok(if n == 0 {
-                Value::Null
-            } else {
-                Value::Float(sum / n as f64)
-            })
-        }
-        (AggFunc::Min, data) | (AggFunc::Max, data) => {
-            let is_max = func == AggFunc::Max;
-            let mut best: Option<usize> = None;
-            for &i in members {
-                if !valid(i) {
-                    continue;
-                }
-                best = Some(match best {
-                    None => i,
-                    Some(b) => {
-                        let ord = cmp_cells(data, i, b);
-                        // min keeps the first minimum (strict <); max
-                        // keeps the last maximum (≥).
-                        let replace = if is_max { ord.is_ge() } else { ord.is_lt() };
-                        if replace {
-                            i
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            Ok(best.map(|i| col.value(i)).unwrap_or(Value::Null))
-        }
-        _ => return None,
-    })
-}
-
-/// Output schema + aggregate argument indices, shared by every
-/// aggregation engine (row, columnar, fused pipeline).
+/// Output schema + aggregate argument indices, shared by both
+/// aggregation engines (row, fused pipeline).
 /// Takes the input *schema* only, so the pipeline can plan a fused
 /// aggregate before the chain below it has produced any table.
 pub(crate) fn aggregate_header(
@@ -709,9 +428,9 @@ fn eval_agg(
 /// One aggregate over a group, given the group's member-row count and
 /// its non-null argument values in row order. The single source of
 /// truth for aggregate semantics: [`eval_agg`] feeds it table rows, the
-/// fused pipeline feeds it retained per-group values, and both get
-/// byte-identical results *and errors* (including `Sum`'s int/float
-/// promotion and `checked_add` overflow order).
+/// fused pipeline each group's member cells wherever no typed kernel
+/// applies, and both get byte-identical results *and errors* (including
+/// `Sum`'s int/float promotion and `checked_add` overflow order).
 pub(crate) fn eval_agg_values<'a, I>(
     func: AggFunc,
     n_rows: usize,
@@ -1272,8 +991,8 @@ mod tests {
         assert_eq!(columnar.schema(), serial.schema());
         assert_eq!(columnar.rows(), serial.rows());
         let snap = obs.snapshot();
-        assert_eq!(snap.counters.get("columnar.groupby.hit"), Some(&1));
-        assert_eq!(snap.counters.get("columnar.groupby.decline.shape"), None);
+        assert_eq!(snap.counters.get("plan.choice.pipeline"), Some(&1));
+        assert_eq!(snap.counters.get("pipeline.fallback.error"), None);
     }
 
     /// Columnar sort and the fused `Limit(Sort(…))` top-k match the

@@ -26,18 +26,26 @@
 //!   its ascending list of matching build rows. Sinks read cells from
 //!   either side by (probe row, build row), so neither the filtered
 //!   probe table nor the joined table is ever built.
-//! * A terminal **Aggregate** folds each morsel into partial per-group
-//!   states that merge in morsel order. Rows are slotted into groups by
+//! * A terminal **Aggregate** slots, then evaluates. Morsels run their
+//!   stages in parallel down to their output rows; one serial pass in
+//!   row order slots those rows into first-appearance groups by
 //!   per-column codes from the cached chunks (dictionary codes for text,
-//!   the column's cached dense codes otherwise); only rows a VM
-//!   projection has already materialized hash their `Value`s. A
-//!   terminal **Limit** stops early when every stage is an infallible
-//!   kernel.
+//!   the column's cached dense codes otherwise) — only rows a VM
+//!   projection materialized, or key columns that declined conversion,
+//!   hash their `Value`s. Each group then evaluates every aggregate over
+//!   its members in row order: a typed kernel over the argument's cached
+//!   column when the argument is a source column, the oracle's own
+//!   [`exec::eval_agg_values`] otherwise. A terminal **Limit** stops
+//!   early when every stage is an infallible kernel.
+//!
+//! Every Filter/Project/Join/Aggregate root (and a Limit over one)
+//! enters here when `columnar` and `pipeline` are on, lone operators
+//! included: this is the one columnar executor for them.
 //!
 //! Parallelism rides the existing morsel substrate
-//! ([`bi_exec::try_par_ranges`]): deterministic morsel order, lowest-
-//! index error discipline, thread-local partial-aggregate states merged
-//! in morsel order — so results are byte-identical at any thread count.
+//! ([`bi_exec::try_par_ranges`]): deterministic morsel order and lowest-
+//! index error discipline, with grouping and evaluation in row order —
+//! so results are byte-identical at any thread count.
 //!
 //! The operator-at-a-time engine (with the serial row join) remains the
 //! byte-identity oracle and the decline target. The ladder has three
@@ -48,9 +56,10 @@
 //!   engine raises those errors);
 //! * `pipeline.decline.convert` — the source or build side declined
 //!   columnar conversion for the kernel or join-key columns;
-//! * `pipeline.decline.shape` — an aggregate the partial states can't
-//!   reproduce bit-for-bit (non-numeric `sum`/`avg`, missing argument),
-//!   or a join without keys or with cross-typed keys.
+//! * `pipeline.decline.shape` — an aggregate header that doesn't
+//!   resolve (unknown column, `sum` over a non-numeric type, `min`/`max`
+//!   without an argument), or a join without keys or with cross-typed
+//!   keys.
 //!
 //! Declines discovered *before* the source runs return `None` and the
 //! caller's match arms execute the plan as always. Declines after the
@@ -83,10 +92,10 @@ use crate::exec;
 use crate::plan::{AggFunc, AggItem, JoinKind, Plan};
 
 /// Attempts fused execution of `plan`. `None` means "not a candidate"
-/// (no fusible chain, or a lone operator with nothing to fuse) and the
-/// caller proceeds operator-at-a-time; `Some` is a complete result —
-/// possibly via a counted decline to the operator-at-a-time chain over
-/// the already-executed inputs.
+/// (the root is no Filter/Project/Join/Aggregate, nor a Limit over one)
+/// and the caller proceeds operator-at-a-time; `Some` is a complete
+/// result — possibly via a counted decline to the operator-at-a-time
+/// chain over the already-executed inputs.
 pub(crate) fn try_fused(
     plan: &Plan,
     cat: &Catalog,
@@ -94,15 +103,6 @@ pub(crate) fn try_fused(
     stack: &mut Vec<String>,
 ) -> Option<Result<Table, QueryError>> {
     let chain = decompose(plan)?;
-    // Fusion's win is the `fused_ops - 1` intermediate tables it skips.
-    // A lone operator skips none, and the operator-at-a-time engine
-    // already has its fast paths (keep-all storage sharing, dense-code
-    // group-by). A join always streams: its probe never builds the
-    // joined table. Row counts play no part: the decision must be known
-    // before the source executes.
-    if chain.join.is_none() && chain.fused_ops() < 2 {
-        return None;
-    }
     // The source (scan, join, …) and the build side execute through the
     // normal evaluator, which counts their operators and may itself fuse
     // a deeper chain.
@@ -139,7 +139,8 @@ enum Sink<'p> {
     /// Terminal `Limit n` over the chain.
     Limit(usize),
     /// Terminal full aggregation (a pipeline breaker, absorbed as the
-    /// sink: partial states stream, only the group table materializes).
+    /// sink: rows are slotted into groups where they stand, only the
+    /// group table materializes).
     Aggregate {
         group_by: &'p [String],
         aggs: &'p [AggItem],
@@ -164,12 +165,6 @@ struct Chain<'p> {
     sink: Sink<'p>,
     /// First non-fusible node under the chain (pipeline breaker).
     source: &'p Plan,
-}
-
-impl Chain<'_> {
-    fn fused_ops(&self) -> usize {
-        self.ops.len() + usize::from(!matches!(self.sink, Sink::Materialize))
-    }
 }
 
 /// Splits a plan into (sink, join, chain, source) at the topmost
@@ -291,8 +286,9 @@ struct Compiled {
 }
 
 impl Compiled {
-    /// Whether some stage materializes rows (only those take the
-    /// `Value`-hashing aggregate fold).
+    /// Whether some stage materializes rows (an aggregate over those
+    /// slots by `Value` hashing and evaluates through the oracle's
+    /// evaluator).
     fn materializes(&self) -> bool {
         self.stages.iter().any(|s| matches!(s, Stage::VmProject(_)))
     }
@@ -416,7 +412,7 @@ fn compile(
         Sink::Limit(n) => CompiledSink::Limit(n),
         Sink::Aggregate { group_by, aggs } => {
             let mut agg = compile_agg(&schema, group_by, aggs)?;
-            // Compose the slots into the key/argument columns: the fold
+            // Compose the slots into the key/argument columns: the sink
             // then reads source (or build, or last-materialized) rows
             // directly and the remap costs nothing per row.
             if let Some(map) = slots.take() {
@@ -443,32 +439,9 @@ fn compile(
     })
 }
 
-/// How one aggregate accumulates across morsels.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PartialKind {
-    /// `COUNT(*)` — member rows.
-    CountStar,
-    /// `COUNT(col)` — non-null arguments.
-    Count,
-    /// `COUNT(DISTINCT col)` — set union.
-    Distinct,
-    /// Integer `SUM` with the oracle's per-prefix `checked_add`
-    /// overflow semantics (tracked exactly via `i128` prefix extremes).
-    SumInt,
-    /// First minimum (`Iterator::min` keeps the first).
-    Min,
-    /// Last maximum (`Iterator::max` keeps the last).
-    Max,
-    /// Retain the group's non-null values in row order and replay
-    /// [`exec::eval_agg_values`] at finalize — bit-exact row-order
-    /// float accumulation for `AVG` and float `SUM`.
-    Retained,
-}
-
 struct AggSpec {
     func: AggFunc,
     arg: Option<Slot>,
-    kind: PartialKind,
 }
 
 struct AggSink {
@@ -495,38 +468,18 @@ fn compile_agg(
     else {
         return Err(Counter::PipelineDeclineShape);
     };
-    let mut specs = Vec::with_capacity(aggs.len());
-    for (a, arg) in aggs.iter().zip(&arg_idx) {
-        let kind = match (a.func, arg) {
-            (AggFunc::Count, None) => PartialKind::CountStar,
-            (AggFunc::Count, Some(_)) => PartialKind::Count,
-            (AggFunc::CountDistinct, Some(_)) => PartialKind::Distinct,
-            (AggFunc::Min, Some(_)) => PartialKind::Min,
-            (AggFunc::Max, Some(_)) => PartialKind::Max,
-            (AggFunc::Sum, Some(c)) => match schema.columns()[*c].dtype {
-                DataType::Int => PartialKind::SumInt,
-                // A Float-typed column may legally hold Int values
-                // (all-Int groups sum with integer overflow semantics),
-                // so float sums replay the oracle verbatim.
-                DataType::Float => PartialKind::Retained,
-                // Non-numeric sums error per *non-empty* group in the
-                // oracle — and succeed over zero groups. Shape decline.
-                _ => return Err(Counter::PipelineDeclineShape),
-            },
-            (AggFunc::Avg, Some(c)) => match schema.columns()[*c].dtype {
-                DataType::Int | DataType::Float => PartialKind::Retained,
-                _ => return Err(Counter::PipelineDeclineShape),
-            },
-            // Missing arguments error per group in the oracle; zero
-            // groups succeed. Only the oracle can tell them apart.
-            (_, None) => return Err(Counter::PipelineDeclineShape),
-        };
-        specs.push(AggSpec {
+    // Anything the header admits evaluates per group — on a typed
+    // kernel or the oracle's own evaluator, errors included (`avg` over
+    // text, a missing `count_distinct` argument) — so no aggregate is
+    // refused.
+    let specs = aggs
+        .iter()
+        .zip(&arg_idx)
+        .map(|(a, arg)| AggSpec {
             func: a.func,
             arg: arg.map(Slot::Probe),
-            kind,
-        });
-    }
+        })
+        .collect();
     Ok(AggSink {
         schema: Arc::new(out_schema),
         keys,
@@ -548,8 +501,9 @@ enum PipeErr {
     /// fused error is discarded and the fallback re-runs to surface the
     /// oracle's, verbatim.
     Query,
-    /// Data contradicted a static assumption (e.g. a non-Int value in
-    /// an Int column of a trusted table). The oracle handles it.
+    /// An internal invariant broke (e.g. a chunk column the conversion
+    /// should have materialized is missing). The oracle handles the
+    /// chain.
     Degrade,
 }
 
@@ -572,14 +526,16 @@ enum MorselRows {
 /// The build row of a probe row a left join pads with NULLs.
 const NO_ROW: u32 = u32::MAX;
 
-/// One output row of a morsel, addressed without materializing it.
-#[derive(Clone, Copy)]
-enum RowRef<'m> {
-    /// A source (probe) row and its build row (`NO_ROW` without a join,
-    /// or for left-join padding).
-    Src(u32, u32),
-    /// A row a VM projection materialized.
-    Mat(&'m [Value]),
+/// One morsel's output rows, addressed without materializing them.
+enum Output {
+    /// Every source row in `[start, end)`: all survived, nothing joins.
+    Range(u32, u32),
+    /// (probe row, build row) pairs in output order: each surviving
+    /// probe row expanded to its join matches, ascending (`NO_ROW`
+    /// without a join, or for left-join padding).
+    Pairs(Vec<(u32, u32)>),
+    /// Rows a VM projection materialized.
+    Mat(Vec<Vec<Value>>),
 }
 
 static NULL: Value = Value::Null;
@@ -637,7 +593,7 @@ fn run_chain(
     let fused = {
         let _span = cfg.obs.span(bi_exec::SpanKind::QueryPipeline);
         let name = match &build {
-            Some(b) => format!("{}⋈{}", src.name(), b.name()),
+            Some(b) => exec::join_output_name(&src, b),
             None => src.name().to_string(),
         };
         Fused::new(&src, build.as_ref(), &compiled, &chunks, name).and_then(|f| f.run(cfg))
@@ -1167,93 +1123,87 @@ impl<'a> Fused<'a> {
         Ok(state)
     }
 
-    /// Calls `f` on every output row of one morsel, in output order: the
-    /// surviving rows, each expanded to its join matches (or padded, for
-    /// a left join) when the chain streams a join.
-    fn for_each_row<'m, F>(
-        &self,
-        m: &'m MorselRows,
-        start: usize,
-        end: usize,
-        mut f: F,
-    ) -> Result<(), PipeErr>
-    where
-        F: FnMut(RowRef<'m>) -> Result<(), PipeErr>,
-    {
-        if let MorselRows::Mat(rows) = m {
+    /// One morsel's output rows, in output order: its untouched range
+    /// when every row survived and nothing joins, the rows a projection
+    /// materialized, or else (probe row, build row) pairs — each
+    /// surviving probe row expanded to its join matches (or padded, for
+    /// a left join).
+    fn output(&self, m: MorselRows, start: usize, end: usize) -> Result<Output, PipeErr> {
+        let sel = match m {
             // Probe rows are always source rows (computed probe columns
             // are materialized into a table first).
-            if self.join.is_some() {
-                return Err(PipeErr::Degrade);
-            }
-            return rows.iter().try_for_each(|r| f(RowRef::Mat(r)));
-        }
+            MorselRows::Mat(_) if self.join.is_some() => return Err(PipeErr::Degrade),
+            MorselRows::Mat(rows) => return Ok(Output::Mat(rows)),
+            MorselRows::Sel(sel) if sel.len() < end - start || self.join.is_some() => sel,
+            // Every row survived.
+            _ if self.join.is_none() => return Ok(Output::Range(start as u32, end as u32)),
+            _ => (start as u32..end as u32).collect(),
+        };
+        let Some(join) = &self.join else {
+            return Ok(Output::Pairs(
+                sel.into_iter().map(|p| (p, NO_ROW)).collect(),
+            ));
+        };
+        let mut pairs = Vec::new();
         let mut buf = Vec::new();
-        let mut visit = |p: u32| -> Result<(), PipeErr> {
-            let Some(join) = &self.join else {
-                return f(RowRef::Src(p, NO_ROW));
-            };
+        for p in sel {
             let matches = join.matches(p as usize, &mut buf);
             if matches.is_empty() && join.kind == JoinKind::Left {
-                return f(RowRef::Src(p, NO_ROW));
+                pairs.push((p, NO_ROW));
+            } else {
+                pairs.extend(matches.iter().map(|&b| (p, b)));
             }
-            matches.iter().try_for_each(|&b| f(RowRef::Src(p, b)))
+        }
+        Ok(Output::Pairs(pairs))
+    }
+
+    /// Source row `p` with build row `b`, as the chain outputs it.
+    fn emit(&self, p: u32, b: u32) -> Vec<Value> {
+        let probe = &self.src.rows()[p as usize];
+        let Some(slots) = &self.compiled.slots else {
+            return probe.clone();
         };
-        match m {
-            MorselRows::Sel(sel) => sel.iter().try_for_each(|&p| visit(p)),
-            _ => (start as u32..end as u32).try_for_each(visit),
-        }
+        let build = self.build_rows.get(b as usize);
+        slots
+            .iter()
+            .map(|&s| match (s, build) {
+                (Slot::Probe(c), _) => probe[c].clone(),
+                (Slot::Build(c), Some(cells)) => cells[c].clone(),
+                (Slot::Build(_), None) => Value::Null,
+            })
+            .collect()
     }
 
-    /// The cell of output column `s` in row `r`.
-    #[inline]
-    fn cell<'r>(&'r self, r: RowRef<'r>, s: Slot) -> &'r Value {
-        match (r, s) {
-            (RowRef::Src(p, _), Slot::Probe(c)) => &self.src.rows()[p as usize][c],
-            (RowRef::Src(_, b), Slot::Build(c)) if b != NO_ROW => &self.build_rows[b as usize][c],
-            (RowRef::Mat(row), Slot::Probe(c)) => &row[c],
-            _ => &NULL,
-        }
-    }
-
-    /// Row `r` as the chain outputs it.
-    fn emit(&self, r: RowRef) -> Vec<Value> {
-        match (&self.compiled.slots, r) {
-            (Some(slots), RowRef::Src(p, b)) => {
-                let probe = &self.src.rows()[p as usize];
-                let build = self.build_rows.get(b as usize);
-                let mut row = Vec::with_capacity(slots.len());
-                row.extend(slots.iter().map(|&s| match (s, build) {
-                    (Slot::Probe(c), _) => probe[c].clone(),
-                    (Slot::Build(c), Some(cells)) => cells[c].clone(),
-                    (Slot::Build(_), None) => Value::Null,
-                }));
-                row
-            }
-            (Some(slots), _) => slots.iter().map(|&s| self.cell(r, s).clone()).collect(),
-            (None, RowRef::Src(p, _)) => self.src.rows()[p as usize].clone(),
-            (None, RowRef::Mat(row)) => row.to_vec(),
-        }
-    }
-
-    /// One morsel's output rows. Materialized rows the chain outputs as
-    /// they are move instead of being copied.
-    fn emit_morsel(
-        &self,
-        m: MorselRows,
-        start: usize,
-        end: usize,
-    ) -> Result<Vec<Vec<Value>>, PipeErr> {
-        match m {
-            MorselRows::Mat(rows) if self.compiled.slots.is_none() => Ok(rows),
-            m => {
-                let mut out = Vec::new();
-                self.for_each_row(&m, start, end, |r| {
-                    out.push(self.emit(r));
-                    Ok(())
-                })?;
-                Ok(out)
-            }
+    /// The first `limit` rows of one morsel's output as the chain
+    /// outputs them. Materialized rows the chain outputs as they are
+    /// move instead of being copied.
+    fn emit_output(&self, out: Output, limit: usize) -> Vec<Vec<Value>> {
+        match out {
+            Output::Range(s, e) => (s..e).take(limit).map(|p| self.emit(p, NO_ROW)).collect(),
+            Output::Pairs(pairs) => pairs
+                .iter()
+                .take(limit)
+                .map(|&(p, b)| self.emit(p, b))
+                .collect(),
+            Output::Mat(mut rows) => match &self.compiled.slots {
+                None => {
+                    rows.truncate(limit);
+                    rows
+                }
+                // A trailing remap over materialized rows (which never
+                // join).
+                Some(slots) => rows
+                    .iter()
+                    .take(limit)
+                    .map(|row| {
+                        let cell = |&s: &Slot| match s {
+                            Slot::Probe(c) => row[c].clone(),
+                            Slot::Build(_) => Value::Null,
+                        };
+                        slots.iter().map(cell).collect()
+                    })
+                    .collect(),
+            },
         }
     }
 
@@ -1261,26 +1211,30 @@ impl<'a> Fused<'a> {
         let len = self.src.len();
         // With the source's own shape, a morsel whose filters kept every
         // row reports it instead of copying; if all of them do, the
-        // result shares the source's storage, exactly as each
-        // operator-at-a-time filter's keep-all fast path does.
+        // result shares the source's storage, exactly as the row
+        // engine's keep-all filter does.
         let sharing = self.compiled.schema.is_none() && self.compiled.slots.is_none();
-        let per: Vec<Option<Vec<Vec<Value>>>> =
-            bi_exec::try_par_ranges(cfg, len, bi_exec::MORSEL_ROWS, |s, e| {
-                let m = self.push_morsel(s, e)?;
-                let kept_all = match &m {
-                    MorselRows::All => true,
-                    MorselRows::Sel(sel) => sel.len() == e - s,
-                    MorselRows::Mat(_) => false,
-                };
-                if sharing && kept_all {
+        let per: Vec<Option<Vec<Vec<Value>>>> = bi_exec::try_par_ranges(
+            cfg,
+            len,
+            bi_exec::MORSEL_ROWS,
+            |s, e| -> Result<_, PipeErr> {
+                let out = self.output(self.push_morsel(s, e)?, s, e)?;
+                if sharing && matches!(out, Output::Range(..)) {
                     return Ok(None);
                 }
-                self.emit_morsel(m, s, e).map(Some)
-            })?;
-        if per.iter().all(Option::is_none) && sharing {
+                Ok(Some(self.emit_output(out, usize::MAX)))
+            },
+        )?;
+        if sharing && per.iter().all(Option::is_none) {
             return Ok(self.src.clone());
         }
-        let mut rows: Vec<Vec<Value>> = Vec::new();
+        let kept = per
+            .iter()
+            .zip(morsel_ranges(len))
+            .map(|(m, (s, e))| m.as_ref().map_or(e - s, Vec::len))
+            .sum();
+        let mut rows: Vec<Vec<Value>> = Vec::with_capacity(kept);
         for (m, (s, e)) in per.into_iter().zip(morsel_ranges(len)) {
             match m {
                 Some(block) => rows.extend(block),
@@ -1311,19 +1265,19 @@ impl<'a> Fused<'a> {
                 if rows.len() >= n {
                     break;
                 }
-                let m = self.push_morsel(s, e)?;
-                self.for_each_row(&m, s, e, |r| {
-                    if rows.len() < n {
-                        rows.push(self.emit(r));
-                    }
-                    Ok(())
-                })?;
+                let out = self.output(self.push_morsel(s, e)?, s, e)?;
+                rows.extend(self.emit_output(out, n - rows.len()));
             }
         } else {
-            let per: Vec<Vec<Vec<Value>>> =
-                bi_exec::try_par_ranges(cfg, len, bi_exec::MORSEL_ROWS, |s, e| {
-                    self.emit_morsel(self.push_morsel(s, e)?, s, e)
-                })?;
+            let per: Vec<Vec<Vec<Value>>> = bi_exec::try_par_ranges(
+                cfg,
+                len,
+                bi_exec::MORSEL_ROWS,
+                |s, e| -> Result<_, PipeErr> {
+                    let out = self.output(self.push_morsel(s, e)?, s, e)?;
+                    Ok(self.emit_output(out, n))
+                },
+            )?;
             rows.extend(per.into_iter().flatten().take(n));
         }
         Ok(Table::from_rows_trusted(
@@ -1333,145 +1287,110 @@ impl<'a> Fused<'a> {
         ))
     }
 
+    /// Slot-then-evaluate: morsels run their stages in parallel down to
+    /// their output rows; one pass in row order slots those rows into
+    /// first-appearance groups; each group then evaluates every
+    /// aggregate over its members, in row order.
     fn aggregate(&self, sink: &AggSink, cfg: &ExecConfig) -> Result<Table, PipeErr> {
-        let per: Vec<Vec<Group>> =
-            bi_exec::try_par_ranges(cfg, self.src.len(), bi_exec::MORSEL_ROWS, |s, e| {
-                let m = self.push_morsel(s, e)?;
-                match &self.codes {
-                    Some(codes) => self.fold_codes(sink, codes, &m, s, e),
-                    None => self.fold_values(sink, &m, s, e),
-                }
-            })?;
-        // Merge thread-local states in morsel order: global group order
-        // is first appearance in row order — exactly the serial engine's.
-        let mut groups: Vec<Group> = Vec::new();
-        let merge = |groups: &mut Vec<Group>, at: Option<usize>, mg: Group| match at {
-            Some(g) => {
-                for (spec, (p, q)) in sink
-                    .specs
-                    .iter()
-                    .zip(groups[g].aggs.iter_mut().zip(mg.aggs))
-                {
-                    p.merge(q, spec.kind);
-                }
-            }
-            None => groups.push(mg),
+        let len = self.src.len();
+        // With no stage and no join every morsel would report its own
+        // untouched range: take the whole input without starting workers.
+        let mut outs: Vec<Output> = if self.compiled.stages.is_empty() && self.join.is_none() {
+            vec![Output::Range(0, len as u32)]
+        } else {
+            bi_exec::try_par_ranges(cfg, len, bi_exec::MORSEL_ROWS, |s, e| {
+                self.output(self.push_morsel(s, e)?, s, e)
+            })?
         };
-        match &self.codes {
-            Some(codes) => {
-                let cards: Vec<u32> = codes.iter().map(KeyCodes::cardinality).collect();
-                let mut slots = GroupSlots::new(&cards);
-                for mg in per.into_iter().flatten() {
-                    let (g, fresh) = slots.slot(&mg.codes);
-                    merge(&mut groups, (!fresh).then_some(g as usize), mg);
-                }
+        // Materialized rows are numbered in row order and read like
+        // source rows from here on.
+        let materialized = self.compiled.materializes();
+        let mut mat: Vec<Vec<Value>> = Vec::new();
+        if materialized {
+            for out in outs {
+                let Output::Mat(rows) = out else {
+                    return Err(PipeErr::Degrade);
+                };
+                mat.extend(rows);
             }
-            None => {
-                let mut by_key: HashMap<Vec<Value>, usize> = HashMap::new();
-                for mg in per.into_iter().flatten() {
-                    let at = by_key.get(mg.key.as_slice()).copied();
-                    if at.is_none() {
-                        by_key.insert(mg.key.clone(), groups.len());
-                    }
-                    merge(&mut groups, at, mg);
-                }
+            outs = vec![Output::Range(0, mat.len() as u32)];
+        }
+        let cells = Cells {
+            probe: if materialized { &mat } else { self.src.rows() },
+            build: self.build_rows,
+        };
+        let total = outs
+            .iter()
+            .map(|out| match out {
+                Output::Range(s, e) => (e - s) as usize,
+                Output::Pairs(pairs) => pairs.len(),
+                Output::Mat(_) => 0,
+            })
+            .sum();
+        let mut grouping = Grouping::new(&sink.keys, cells, self.codes.as_deref(), total);
+        for out in &outs {
+            match out {
+                Output::Range(s, e) => grouping.add((*s..*e).map(|p| (p, NO_ROW))),
+                Output::Pairs(pairs) => grouping.add(pairs.iter().copied()),
+                Output::Mat(_) => return Err(PipeErr::Degrade),
             }
         }
-        if groups.is_empty() && sink.keys.is_empty() {
+        let mut heads = grouping.heads;
+        if heads.is_empty() && sink.keys.is_empty() {
             // A global aggregate over zero rows still emits one row.
-            groups.push(Group::fresh(sink, Vec::new(), Vec::new()));
+            heads.push(Vec::new());
         }
-        // Validating construction in group order — the serial engine's
-        // `Table::new` + `push_row`, so even validation errors match.
-        let mut out = Table::new(self.name.clone(), sink.schema.clone());
-        for g in groups {
-            let mut row = g.key;
-            for (spec, p) in sink.specs.iter().zip(g.aggs) {
-                row.push(p.finalize(spec.func).map_err(|_| PipeErr::Query)?);
-            }
-            out.push_row(row).map_err(PipeErr::from)?;
-        }
-        Ok(out)
-    }
-
-    fn update(&self, sink: &AggSink, group: &mut Group, r: RowRef) -> Result<(), PipeErr> {
-        for (spec, p) in sink.specs.iter().zip(&mut group.aggs) {
-            p.update(spec.kind, spec.arg.map(|s| self.cell(r, s)))?;
-        }
-        Ok(())
-    }
-
-    fn key_cells(&self, sink: &AggSink, r: RowRef) -> Vec<Value> {
-        sink.keys.iter().map(|&s| self.cell(r, s).clone()).collect()
-    }
-
-    /// Folds one morsel's rows into per-group partial states, in row
-    /// order, groups in first-appearance order, slotting each row by its
-    /// key columns' codes. Key cells are cloned only when a group opens.
-    fn fold_codes(
-        &self,
-        sink: &AggSink,
-        codes: &[KeyCodes],
-        m: &MorselRows,
-        start: usize,
-        end: usize,
-    ) -> Result<Vec<Group>, PipeErr> {
-        let cards: Vec<u32> = codes.iter().map(KeyCodes::cardinality).collect();
-        let mut slots = GroupSlots::new(&cards);
-        let mut key = vec![0u32; codes.len()];
-        let mut groups: Vec<Group> = Vec::new();
-        self.for_each_row(m, start, end, |r| {
-            let RowRef::Src(p, b) = r else {
-                return Err(PipeErr::Degrade);
-            };
-            for (k, c) in key.iter_mut().zip(codes) {
-                *k = c.code(p, b);
-            }
-            let (g, fresh) = slots.slot(&key);
-            if fresh {
-                groups.push(Group::fresh(sink, self.key_cells(sink, r), key.clone()));
-            }
-            self.update(sink, &mut groups[g as usize], r)
-        })?;
-        Ok(groups)
-    }
-
-    /// The `Value`-hashing fold, for rows a VM projection materialized
-    /// (and key columns that declined conversion). Group probing hashes
-    /// the key cells in place (no per-row key allocation).
-    fn fold_values(
-        &self,
-        sink: &AggSink,
-        m: &MorselRows,
-        start: usize,
-        end: usize,
-    ) -> Result<Vec<Group>, PipeErr> {
-        let mut groups: Vec<Group> = Vec::new();
-        let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
-        self.for_each_row(m, start, end, |r| {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            for &s in &sink.keys {
-                self.cell(r, s).hash(&mut h);
-            }
-            let cands = by_hash.entry(h.finish()).or_default();
-            let found = cands.iter().copied().find(|&g| {
-                groups[g]
-                    .key
-                    .iter()
-                    .zip(&sink.keys)
-                    .all(|(k, &s)| k == self.cell(r, s))
-            });
-            let g = match found {
-                Some(g) => g,
-                None => {
-                    cands.push(groups.len());
-                    groups.push(Group::fresh(sink, self.key_cells(sink, r), Vec::new()));
-                    groups.len() - 1
+        let members = Members::place(&outs, &grouping.ids, heads.len(), self.join.is_some());
+        // Typed columns for the kernels: source arguments, each
+        // converted on its own so a column that declines (counted) only
+        // sends its own aggregates to the oracle's evaluator.
+        let typed: Vec<Option<ColumnChunk>> = sink
+            .specs
+            .iter()
+            .map(|spec| match spec.arg {
+                Some(Slot::Probe(c)) if !materialized => {
+                    match ColumnChunk::from_table_cols_cached(self.src, &[c], cfg) {
+                        Ok(chunk) => Some(chunk),
+                        Err(e) => {
+                            cfg.obs.count(e.counter());
+                            None
+                        }
+                    }
                 }
-            };
-            self.update(sink, &mut groups[g], r)
-        })?;
-        Ok(groups)
+                _ => None,
+            })
+            .collect();
+        let mut out = Vec::with_capacity(heads.len());
+        for (g, mut row) in heads.into_iter().enumerate() {
+            let (rows, build) = members.of(g);
+            for (spec, chunk) in sink.specs.iter().zip(&typed) {
+                let col = match (spec.arg, chunk) {
+                    (Some(Slot::Probe(c)), Some(chunk)) => chunk.column(c),
+                    _ => None,
+                };
+                let value = match col.and_then(|col| eval_agg_columnar(spec.func, col, rows)) {
+                    Some(v) => v,
+                    None => {
+                        let values = spec.arg.map(|s| {
+                            rows.iter()
+                                .enumerate()
+                                .map(move |(k, &p)| {
+                                    cells.get(p, build.get(k).copied().unwrap_or(NO_ROW), s)
+                                })
+                                .filter(|v| !v.is_null())
+                        });
+                        exec::eval_agg_values(spec.func, rows.len(), values)
+                    }
+                };
+                row.push(value.map_err(|_| PipeErr::Query)?);
+            }
+            out.push(row);
+        }
+        // Validated like the oracle's `Table::new` + `push_row` (a row
+        // that fails re-runs the oracle for its error), in one storage
+        // version rather than one per group.
+        let table = Table::from_rows(self.name.clone(), sink.schema.clone(), out)?;
+        Ok(table)
     }
 }
 
@@ -1492,10 +1411,8 @@ const DIRECT_SLOTS: u32 = 1 << 16;
 /// Dense group ids for tuples of per-column key codes (one code per key
 /// column, each below that column's cardinality), handed out in
 /// first-appearance order. Equal tuples ⇔ equal ids, so slotting rows
-/// in row order reproduces the serial engine's group order. The one
-/// grouping routine behind the fused aggregate sink (per morsel, and
-/// again to merge morsels by code) and the columnar group-by.
-pub(crate) struct GroupSlots {
+/// in row order reproduces the serial engine's group order.
+struct GroupSlots {
     /// First key column: code → its prefix id (`u32::MAX` unseen).
     direct: Vec<u32>,
     /// The same for a first key column too wide to index directly.
@@ -1509,7 +1426,7 @@ pub(crate) struct GroupSlots {
 }
 
 impl GroupSlots {
-    pub(crate) fn new(cards: &[u32]) -> Self {
+    fn new(cards: &[u32]) -> Self {
         let direct = match cards.first() {
             Some(&c) if c <= DIRECT_SLOTS => vec![u32::MAX; c as usize],
             _ => Vec::new(),
@@ -1523,9 +1440,10 @@ impl GroupSlots {
     }
 
     /// The group of `key`, opening the next id when the tuple is new.
-    /// Returns `(id, new)`.
-    #[inline]
-    pub(crate) fn slot(&mut self, key: &[u32]) -> (u32, bool) {
+    /// Returns `(id, new)`. Called once per row: left out of line, the
+    /// call cost the lone 100k-row group-by about a fifth of its time.
+    #[inline(always)]
+    fn slot(&mut self, key: &[u32]) -> (u32, bool) {
         let Some((&c0, rest)) = key.split_first() else {
             let fresh = self.first == 0;
             self.first = 1;
@@ -1560,171 +1478,327 @@ impl GroupSlots {
 }
 
 // ---------------------------------------------------------------------
-// Partial aggregation
+// Group evaluation
 // ---------------------------------------------------------------------
 
-/// One aggregate's accumulated state for one group.
-enum PAgg {
-    Count(u64),
-    Distinct(HashSet<Value>),
-    /// Running sum plus the min/max *prefix* sums in `i128`: the oracle
-    /// `checked_add`s in `i64`, so it overflows iff any prefix leaves
-    /// `i64` — e.g. `[i64::MAX, 1, -1]` errors even though the total
-    /// fits. Prefix extremes compose across morsels by offsetting the
-    /// right side's extremes by the left side's total.
-    SumInt {
-        sum: i128,
-        lo: i128,
-        hi: i128,
-        any: bool,
+/// Where an aggregate's cells are read from: the rows leaving the probe
+/// chain (source rows, or the rows a projection materialized) and the
+/// build side.
+#[derive(Clone, Copy)]
+struct Cells<'a> {
+    probe: &'a [Vec<Value>],
+    build: &'a [Vec<Value>],
+}
+
+impl<'a> Cells<'a> {
+    /// Column `s` of probe row `p` joined to build row `b` (NULL for
+    /// left-join padding).
+    #[inline]
+    fn get(&self, p: u32, b: u32, s: Slot) -> &'a Value {
+        match s {
+            Slot::Probe(c) => &self.probe[p as usize][c],
+            Slot::Build(c) if b != NO_ROW => &self.build[b as usize][c],
+            Slot::Build(_) => &NULL,
+        }
+    }
+
+    fn key(&self, keys: &[Slot], p: u32, b: u32) -> Vec<Value> {
+        keys.iter().map(|&s| self.get(p, b, s).clone()).collect()
+    }
+}
+
+/// How rows find their group: by key-column codes when every key
+/// column converted, else by hashing the key cells in place (rows a VM
+/// projection materialized, key columns that declined conversion).
+enum Slotter<'a> {
+    Codes {
+        codes: &'a [KeyCodes<'a>],
+        slots: GroupSlots,
+        key: Vec<u32>,
     },
-    Best(Option<Value>),
-    Retained(Vec<Value>),
+    Values {
+        by_hash: HashMap<u64, Vec<usize>>,
+    },
 }
 
-impl PAgg {
-    fn init(kind: PartialKind) -> PAgg {
-        match kind {
-            PartialKind::CountStar | PartialKind::Count => PAgg::Count(0),
-            PartialKind::Distinct => PAgg::Distinct(HashSet::new()),
-            PartialKind::SumInt => PAgg::SumInt {
-                sum: 0,
-                lo: 0,
-                hi: 0,
-                any: false,
+/// First-appearance groups of output rows, filled in row order.
+struct Grouping<'a> {
+    keys: &'a [Slot],
+    cells: Cells<'a>,
+    slotter: Slotter<'a>,
+    /// Each group's key cells: its first member's, verbatim (this
+    /// matters for `Value`-equal but distinct bytes like `-0.0`/`0.0`).
+    heads: Vec<Vec<Value>>,
+    /// Each output row's group, in row order.
+    ids: Vec<u32>,
+}
+
+impl<'a> Grouping<'a> {
+    fn new(
+        keys: &'a [Slot],
+        cells: Cells<'a>,
+        codes: Option<&'a [KeyCodes<'a>]>,
+        rows: usize,
+    ) -> Self {
+        let slotter = match codes {
+            Some(codes) => {
+                let cards: Vec<u32> = codes.iter().map(KeyCodes::cardinality).collect();
+                Slotter::Codes {
+                    codes,
+                    slots: GroupSlots::new(&cards),
+                    key: vec![0; codes.len()],
+                }
+            }
+            None => Slotter::Values {
+                by_hash: HashMap::new(),
             },
-            PartialKind::Min | PartialKind::Max => PAgg::Best(None),
-            PartialKind::Retained => PAgg::Retained(Vec::new()),
+        };
+        Grouping {
+            keys,
+            cells,
+            slotter,
+            heads: Vec::new(),
+            ids: Vec::with_capacity(rows),
         }
     }
 
-    fn update(&mut self, kind: PartialKind, cell: Option<&Value>) -> Result<(), PipeErr> {
-        let valid = cell.filter(|v| !v.is_null());
-        match self {
-            PAgg::Count(nn) => {
-                if kind == PartialKind::CountStar || valid.is_some() {
-                    *nn += 1;
-                }
-            }
-            PAgg::Distinct(set) => {
-                if let Some(v) = valid {
-                    if !set.contains(v) {
-                        set.insert(v.clone());
+    /// Slots `rows` — (probe row, build row) pairs, in row order — into
+    /// their groups. Key cells are cloned only when a group opens.
+    fn add(&mut self, rows: impl Iterator<Item = (u32, u32)>) {
+        let (keys, cells) = (self.keys, self.cells);
+        let (heads, ids) = (&mut self.heads, &mut self.ids);
+        match &mut self.slotter {
+            Slotter::Codes { codes, slots, key } => {
+                for (p, b) in rows {
+                    for (k, c) in key.iter_mut().zip(codes.iter()) {
+                        *k = c.code(p, b);
                     }
-                }
-            }
-            PAgg::SumInt { sum, lo, hi, any } => {
-                if let Some(v) = valid {
-                    let Value::Int(i) = v else {
-                        // A non-Int value in an Int-typed column: data
-                        // drifted from the schema under a trusted
-                        // constructor. The oracle's dynamic dispatch
-                        // handles it; the fused engine steps aside.
-                        return Err(PipeErr::Degrade);
-                    };
-                    *sum += i128::from(*i);
-                    *lo = (*lo).min(*sum);
-                    *hi = (*hi).max(*sum);
-                    *any = true;
-                }
-            }
-            PAgg::Best(best) => {
-                if let Some(v) = valid {
-                    let replace = match (&best, kind) {
-                        (None, _) => true,
-                        // First minimum wins ties (strict `<`)…
-                        (Some(b), PartialKind::Min) => v.cmp(b) == Ordering::Less,
-                        // …last maximum wins ties (`>=`).
-                        (Some(b), _) => v.cmp(b) != Ordering::Less,
-                    };
-                    if replace {
-                        *best = Some(v.clone());
+                    let (g, fresh) = slots.slot(key);
+                    if fresh {
+                        heads.push(cells.key(keys, p, b));
                     }
+                    ids.push(g);
                 }
             }
-            PAgg::Retained(vals) => {
-                if let Some(v) = valid {
-                    vals.push(v.clone());
+            Slotter::Values { by_hash } => {
+                for (p, b) in rows {
+                    let mut h = std::collections::hash_map::DefaultHasher::new();
+                    for &s in keys {
+                        cells.get(p, b, s).hash(&mut h);
+                    }
+                    let cands = by_hash.entry(h.finish()).or_default();
+                    let found = cands.iter().copied().find(|&g| {
+                        heads[g]
+                            .iter()
+                            .zip(keys)
+                            .all(|(k, &s)| k == cells.get(p, b, s))
+                    });
+                    let g = found.unwrap_or_else(|| {
+                        cands.push(heads.len());
+                        heads.push(cells.key(keys, p, b));
+                        heads.len() - 1
+                    });
+                    ids.push(g as u32);
                 }
             }
         }
-        Ok(())
+    }
+}
+
+/// Every group's members, contiguous per group and in row order: group
+/// `g`'s are `rows[starts[g]..starts[g + 1]]`.
+struct Members {
+    starts: Vec<usize>,
+    /// Probe rows: source rows, or indices of materialized rows.
+    rows: Vec<u32>,
+    /// Each member's build row (`NO_ROW` for left-join padding); empty
+    /// when nothing joins.
+    build: Vec<u32>,
+}
+
+impl Members {
+    /// Places the output rows of `outs` among `groups` groups by their
+    /// group `ids` (one per row, in row order): a counting sort, so each
+    /// group's members keep row order.
+    fn place(outs: &[Output], ids: &[u32], groups: usize, joined: bool) -> Members {
+        let mut starts = vec![0usize; groups + 1];
+        for &g in ids {
+            starts[g as usize + 1] += 1;
+        }
+        for g in 0..groups {
+            starts[g + 1] += starts[g];
+        }
+        // `starts[g]` serves as group `g`'s cursor; once every row is
+        // placed it holds group `g + 1`'s start, so one rotation
+        // restores the starts.
+        let mut rows = vec![0u32; ids.len()];
+        let mut build = vec![NO_ROW; if joined { ids.len() } else { 0 }];
+        let mut ids = ids.iter();
+        for out in outs {
+            match out {
+                Output::Range(s, e) => {
+                    for (p, &g) in (*s..*e).zip(ids.by_ref()) {
+                        rows[starts[g as usize]] = p;
+                        starts[g as usize] += 1;
+                    }
+                }
+                Output::Pairs(pairs) => {
+                    for (&(p, b), &g) in pairs.iter().zip(ids.by_ref()) {
+                        let at = starts[g as usize];
+                        rows[at] = p;
+                        if joined {
+                            build[at] = b;
+                        }
+                        starts[g as usize] += 1;
+                    }
+                }
+                Output::Mat(_) => {}
+            }
+        }
+        starts.rotate_right(1);
+        starts[0] = 0;
+        Members {
+            starts,
+            rows,
+            build,
+        }
     }
 
-    /// Merges `other` (a strictly later morsel's state) into `self`.
-    fn merge(&mut self, other: PAgg, kind: PartialKind) {
-        match (self, other) {
-            (PAgg::Count(a), PAgg::Count(b)) => *a += b,
-            (PAgg::Distinct(a), PAgg::Distinct(b)) => a.extend(b),
-            (
-                PAgg::SumInt { sum, lo, hi, any },
-                PAgg::SumInt {
-                    sum: bsum,
-                    lo: blo,
-                    hi: bhi,
-                    any: bany,
-                },
-            ) => {
-                if bany {
-                    *lo = (*lo).min(*sum + blo);
-                    *hi = (*hi).max(*sum + bhi);
-                    *sum += bsum;
-                    *any = true;
+    /// Group `g`'s probe rows and build rows (empty when nothing joins).
+    fn of(&self, g: usize) -> (&[u32], &[u32]) {
+        let (lo, hi) = (self.starts[g], self.starts[g + 1]);
+        (&self.rows[lo..hi], self.build.get(lo..hi).unwrap_or(&[]))
+    }
+}
+
+/// `Value::cmp` of cells `i` and `j` of one typed column (both valid).
+fn cmp_cells(data: &ColumnData, i: usize, j: usize) -> Ordering {
+    match data {
+        ColumnData::Bool(v) => v[i].cmp(&v[j]),
+        ColumnData::Int(v) => v[i].cmp(&v[j]),
+        ColumnData::Float(v) => Value::norm_float(v[i]).total_cmp(&Value::norm_float(v[j])),
+        ColumnData::Date(v) => v[i].cmp(&v[j]),
+        ColumnData::Text { codes, dict } => dict.get(codes[i]).cmp(dict.get(codes[j])),
+    }
+}
+
+/// Vectorized aggregate over one group's members (source rows, in row
+/// order) of a typed column. Returns `None` when no kernel applies —
+/// the caller falls back to [`exec::eval_agg_values`], which also owns
+/// every error message — and otherwise replicates its semantics bit for
+/// bit: NULL skipping, row-order float accumulation, `checked_add`
+/// overflow with the same error, `Value`-equality distinctness,
+/// first-minimum/last-maximum selection (`Iterator::min`/`max`),
+/// empty-group `Null`.
+fn eval_agg_columnar(
+    func: AggFunc,
+    col: &ChunkColumn,
+    members: &[u32],
+) -> Option<Result<Value, QueryError>> {
+    let valid = |i: usize| !col.validity.is_null(i);
+    let members = members.iter().map(|&i| i as usize);
+    Some(match (func, &col.data) {
+        (AggFunc::Count, _) => Ok(Value::Int(members.filter(|&i| valid(i)).count() as i64)),
+        (AggFunc::CountDistinct, data) => {
+            let mut set: HashSet<u64> = HashSet::new();
+            for i in members {
+                if !valid(i) {
+                    continue;
                 }
+                // Injective per type; floats via `float_key` so NaN and
+                // ±0.0 collapse exactly as `Value` equality does.
+                set.insert(match data {
+                    ColumnData::Bool(v) => v[i] as u64,
+                    ColumnData::Int(v) => v[i] as u64,
+                    ColumnData::Float(v) => Value::float_key(v[i]),
+                    ColumnData::Date(v) => v[i].days_from_epoch() as u64,
+                    ColumnData::Text { codes, .. } => codes[i] as u64,
+                });
             }
-            (PAgg::Best(a), PAgg::Best(Some(b))) => {
-                let replace = match (&a, kind) {
-                    (None, _) => true,
-                    (Some(av), PartialKind::Min) => b.cmp(av) == Ordering::Less,
-                    (Some(av), _) => b.cmp(av) != Ordering::Less,
+            Ok(Value::Int(set.len() as i64))
+        }
+        (AggFunc::Sum, ColumnData::Int(v)) => {
+            let mut sum = 0i64;
+            let mut any = false;
+            for i in members {
+                if !valid(i) {
+                    continue;
+                }
+                any = true;
+                sum = match sum.checked_add(v[i]) {
+                    Some(s) => s,
+                    None => return Some(Err(RelationError::Overflow { op: "sum" }.into())),
                 };
-                if replace {
-                    *a = Some(b);
+            }
+            Ok(if any { Value::Int(sum) } else { Value::Null })
+        }
+        (AggFunc::Sum, ColumnData::Float(v)) => {
+            let mut sum = 0.0f64;
+            let mut any = false;
+            for i in members {
+                if valid(i) {
+                    any = true;
+                    sum += v[i];
                 }
             }
-            (PAgg::Best(_), PAgg::Best(None)) => {}
-            (PAgg::Retained(a), PAgg::Retained(b)) => a.extend(b),
-            _ => debug_assert!(false, "partial-aggregate kinds never mix"),
+            Ok(if any { Value::Float(sum) } else { Value::Null })
         }
-    }
-
-    fn finalize(self, func: AggFunc) -> Result<Value, QueryError> {
-        Ok(match self {
-            PAgg::Count(n) => Value::Int(n as i64),
-            PAgg::Distinct(set) => Value::Int(set.len() as i64),
-            PAgg::SumInt { sum, lo, hi, any } => {
-                if !any {
-                    Value::Null
-                } else if lo < i128::from(i64::MIN) || hi > i128::from(i64::MAX) {
-                    return Err(RelationError::Overflow { op: "sum" }.into());
-                } else {
-                    Value::Int(sum as i64)
+        (AggFunc::Avg, ColumnData::Int(v)) => {
+            let mut sum = 0.0f64;
+            let mut n = 0usize;
+            for i in members {
+                if valid(i) {
+                    sum += v[i] as f64;
+                    n += 1;
                 }
             }
-            PAgg::Best(best) => best.unwrap_or(Value::Null),
-            PAgg::Retained(vals) => exec::eval_agg_values(func, 0, Some(vals.iter()))?,
-        })
-    }
-}
-
-/// One group's first-encountered key cells (verbatim bytes — matters
-/// for `Value`-equal but distinct representations like `-0.0`/`0.0`),
-/// its key codes when slotted by code, plus one partial state per
-/// aggregate.
-struct Group {
-    key: Vec<Value>,
-    codes: Vec<u32>,
-    aggs: Vec<PAgg>,
-}
-
-impl Group {
-    fn fresh(sink: &AggSink, key: Vec<Value>, codes: Vec<u32>) -> Group {
-        Group {
-            key,
-            codes,
-            aggs: sink.specs.iter().map(|s| PAgg::init(s.kind)).collect(),
+            Ok(if n == 0 {
+                Value::Null
+            } else {
+                Value::Float(sum / n as f64)
+            })
         }
-    }
+        (AggFunc::Avg, ColumnData::Float(v)) => {
+            let mut sum = 0.0f64;
+            let mut n = 0usize;
+            for i in members {
+                if valid(i) {
+                    sum += v[i];
+                    n += 1;
+                }
+            }
+            Ok(if n == 0 {
+                Value::Null
+            } else {
+                Value::Float(sum / n as f64)
+            })
+        }
+        (AggFunc::Min, data) | (AggFunc::Max, data) => {
+            let is_max = func == AggFunc::Max;
+            let mut best: Option<usize> = None;
+            for i in members {
+                if !valid(i) {
+                    continue;
+                }
+                best = Some(match best {
+                    None => i,
+                    Some(b) => {
+                        let ord = cmp_cells(data, i, b);
+                        // min keeps the first minimum (strict <); max
+                        // keeps the last maximum (≥).
+                        let replace = if is_max { ord.is_ge() } else { ord.is_lt() };
+                        if replace {
+                            i
+                        } else {
+                            b
+                        }
+                    }
+                });
+            }
+            Ok(best.map(|i| col.value(i)).unwrap_or(Value::Null))
+        }
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -1746,11 +1820,13 @@ mod tests {
         assert!(matches!(d.sink, Sink::Aggregate { .. }));
         assert!(matches!(d.source, Plan::Scan { .. }));
         assert!(d.join.is_none());
-        assert_eq!(d.fused_ops(), 3);
 
-        // Bare aggregate over a scan: nothing to fuse with.
+        // A bare aggregate over a scan is a chain too: no stages, just
+        // the sink.
         let bare = scan("T").aggregate(vec![], vec![AggItem::count_star("n")]);
-        assert_eq!(decompose(&bare).unwrap().fused_ops(), 1);
+        let d = decompose(&bare).unwrap();
+        assert!(d.ops.is_empty());
+        assert!(matches!(d.sink, Sink::Aggregate { .. }));
 
         // Limit(Sort) stays with the top-k fusion, not the pipeline.
         let topk = scan("T")
@@ -1761,7 +1837,7 @@ mod tests {
         // Limit over a filter chains.
         let lim = scan("T").filter(col("a").ge(lit(1))).limit(5);
         let d = decompose(&lim).unwrap();
-        assert_eq!(d.fused_ops(), 2);
+        assert_eq!(d.ops.len(), 1);
         assert!(matches!(d.sink, Sink::Limit(5)));
     }
 
@@ -1924,66 +2000,5 @@ mod tests {
         let mut none = GroupSlots::new(&[]);
         assert_eq!(none.slot(&[]), (0, true));
         assert_eq!(none.slot(&[]), (0, false));
-    }
-
-    #[test]
-    fn sum_int_prefix_extremes_reproduce_checked_add() {
-        // [i64::MAX, 1, -1] sums to i64::MAX but the oracle's
-        // checked_add overflows at the second element.
-        let mut p = PAgg::init(PartialKind::SumInt);
-        for v in [Value::Int(i64::MAX), Value::Int(1), Value::Int(-1)] {
-            p.update(PartialKind::SumInt, Some(&v)).unwrap();
-        }
-        assert!(p.finalize(AggFunc::Sum).is_err());
-
-        // The same holds when the overflow happens across a merge.
-        let mut a = PAgg::init(PartialKind::SumInt);
-        a.update(PartialKind::SumInt, Some(&Value::Int(i64::MAX)))
-            .unwrap();
-        let mut b = PAgg::init(PartialKind::SumInt);
-        b.update(PartialKind::SumInt, Some(&Value::Int(1))).unwrap();
-        b.update(PartialKind::SumInt, Some(&Value::Int(-1)))
-            .unwrap();
-        a.merge(b, PartialKind::SumInt);
-        assert!(a.finalize(AggFunc::Sum).is_err());
-
-        // In-range prefixes merge to the exact sum.
-        let mut a = PAgg::init(PartialKind::SumInt);
-        a.update(PartialKind::SumInt, Some(&Value::Int(40)))
-            .unwrap();
-        let mut b = PAgg::init(PartialKind::SumInt);
-        b.update(PartialKind::SumInt, Some(&Value::Int(2))).unwrap();
-        a.merge(b, PartialKind::SumInt);
-        assert_eq!(a.finalize(AggFunc::Sum).unwrap(), Value::Int(42));
-
-        // All-null group: Null, not 0.
-        let p = PAgg::init(PartialKind::SumInt);
-        assert_eq!(p.finalize(AggFunc::Sum).unwrap(), Value::Null);
-    }
-
-    #[test]
-    fn min_keeps_first_and_max_keeps_last() {
-        // Two Value-equal but byte-distinct floats: 0.0 and -0.0.
-        let pos = Value::Float(0.0);
-        let neg = Value::Float(-0.0);
-        assert_eq!(pos.cmp(&neg), Ordering::Equal);
-
-        let mut mn = PAgg::init(PartialKind::Min);
-        mn.update(PartialKind::Min, Some(&pos)).unwrap();
-        mn.update(PartialKind::Min, Some(&neg)).unwrap();
-        // Iterator::min keeps the first of equals.
-        match mn.finalize(AggFunc::Min).unwrap() {
-            Value::Float(f) => assert!(f.is_sign_positive()),
-            other => panic!("expected float, got {other:?}"),
-        }
-
-        let mut mx = PAgg::init(PartialKind::Max);
-        mx.update(PartialKind::Max, Some(&pos)).unwrap();
-        mx.update(PartialKind::Max, Some(&neg)).unwrap();
-        // Iterator::max keeps the last of equals.
-        match mx.finalize(AggFunc::Max).unwrap() {
-            Value::Float(f) => assert!(f.is_sign_negative()),
-            other => panic!("expected float, got {other:?}"),
-        }
     }
 }

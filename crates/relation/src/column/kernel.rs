@@ -4,27 +4,28 @@
 //! column-wise kernels that evaluate a whole morsel per call into a
 //! tri-state [`BoolMask`] (TRUE / FALSE / UNKNOWN — SQL's three-valued
 //! logic), from which a selection vector of surviving row indices is
-//! drawn and survivors are late-materialized. The same kernels serve
-//! plan filters and the PLA row checks (`FilterRows` / retention
-//! obligations become filter predicates through the VPD rewriter).
+//! drawn. The query crate's fused pipeline is the one driver: its
+//! kernel stages sweep morsels of the source's cached chunk and pass
+//! the selection on, so survivors are late-materialized. The same
+//! kernels serve plan filters and the PLA row checks (`FilterRows` /
+//! retention obligations become filter predicates through the VPD
+//! rewriter).
 //!
 //! Compilation is *total or declined*: an expression compiles only when
 //! every node is guaranteed to evaluate without a runtime error on a
 //! well-typed chunk (so a compiled kernel is infallible), and the
-//! caller falls back to the row engine otherwise. A compiled predicate
-//! reproduces the row engine's `Expr::eval` tri-state exactly on every
-//! row — the row path stays the oracle, and the property suite holds
-//! the two to byte-identical filter results.
+//! caller runs the predicate on the scalar VM otherwise. A compiled
+//! predicate reproduces the row engine's `Expr::eval` tri-state exactly
+//! on every row — the row path stays the oracle, and the property
+//! suites hold the two to byte-identical filter results.
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use bi_exec::ExecConfig;
 use bi_types::{DataType, Date, Schema, Value};
 
 use crate::expr::{fold, BinOp, Expr};
-use crate::table::Table;
 
 use super::{Column, ColumnChunk, ColumnData, Validity};
 
@@ -794,56 +795,11 @@ fn eval_in_list(
     }
 }
 
-/// Vectorized filter: compiles `pred`, sweeps the chunk in morsels
-/// (parallel under `cfg.threads`), and late-materializes survivors.
-///
-/// Returns `None` — *fall back to the row engine* — when the predicate
-/// does not compile or the table's columns decline columnar conversion;
-/// otherwise the result is byte-identical to [`Table::filter`],
-/// including the storage-sharing fast path when every row survives.
-pub fn filter_columnar(table: &Table, pred: &Expr, cfg: &ExecConfig) -> Option<Table> {
-    let Some(compiled) = CompiledPredicate::compile(pred, table.schema()) else {
-        cfg.obs
-            .count(bi_exec::Counter::ColumnarFilterDeclineCompile);
-        return None;
-    };
-    let chunk = match ColumnChunk::from_table_cols_cached(table, compiled.columns(), cfg) {
-        Ok(chunk) => chunk,
-        Err(e) => {
-            cfg.obs.count(e.counter());
-            cfg.obs
-                .count(bi_exec::Counter::ColumnarFilterDeclineConvert);
-            return None;
-        }
-    };
-    cfg.obs.count(bi_exec::Counter::ColumnarConvert);
-    cfg.obs.count(bi_exec::Counter::ColumnarFilterHit);
-    let sels: Vec<Vec<u32>> =
-        bi_exec::par_ranges(cfg, table.len(), bi_exec::MORSEL_ROWS, |s, e| {
-            compiled.eval_range(&chunk, s, e).selected(s as u32)
-        });
-    let kept: usize = sels.iter().map(Vec::len).sum();
-    if kept == table.len() {
-        // Same storage-sharing fast path as the row engine's filter.
-        return Some(table.clone());
-    }
-    let mut rows = Vec::with_capacity(kept);
-    for sel in &sels {
-        for &i in sel {
-            rows.push(table.rows()[i as usize].clone());
-        }
-    }
-    Some(Table::from_rows_trusted(
-        table.name().to_string(),
-        table.schema_shared(),
-        rows,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
+    use crate::table::Table;
     use bi_types::Column as SchemaColumn;
 
     fn table() -> Table {
@@ -900,22 +856,22 @@ mod tests {
         .unwrap()
     }
 
-    /// Columnar result must be byte-identical to the row oracle,
-    /// including name, schema, and the storage-sharing fast path.
+    /// The compiled kernel keeps exactly the oracle's rows, in order,
+    /// whether it sweeps the table in one range or in ragged morsels.
     fn assert_matches_oracle(t: &Table, pred: &Expr) {
         let oracle = t.filter(pred).expect("oracle accepts compiled predicates");
-        for threads in [1, 2, 8] {
-            let cfg = ExecConfig::with_threads(threads).with_columnar(true);
-            let got = filter_columnar(t, pred, &cfg)
-                .unwrap_or_else(|| panic!("predicate should compile: {pred}"));
-            assert_eq!(got.rows(), oracle.rows(), "threads={threads} pred={pred}");
-            assert_eq!(got.schema(), oracle.schema());
-            assert_eq!(got.name(), oracle.name());
-            assert_eq!(
-                got.shares_rows_with(t),
-                oracle.shares_rows_with(t),
-                "sharing fast path must match (pred={pred})"
-            );
+        let k = CompiledPredicate::compile(pred, t.schema())
+            .unwrap_or_else(|| panic!("predicate should compile: {pred}"));
+        let chunk = ColumnChunk::from_table_cols(t, k.columns()).expect("table converts");
+        for step in [t.len().max(1), 2] {
+            let mut kept = Vec::new();
+            for start in (0..t.len()).step_by(step) {
+                let end = (start + step).min(t.len());
+                kept.extend(k.eval_range(&chunk, start, end).selected(start as u32));
+            }
+            let rows: Vec<_> = kept.iter().map(|&i| &t.rows()[i as usize]).collect();
+            let expect: Vec<_> = oracle.rows().iter().collect();
+            assert_eq!(rows, expect, "step={step} pred={pred}");
         }
     }
 
@@ -1015,22 +971,21 @@ mod tests {
     #[test]
     fn unsupported_predicates_decline() {
         let t = table();
-        let cfg = ExecConfig::columnar();
-        // Functions, arithmetic, and cross-type ordering stay on the row
-        // engine.
+        let compiles = |pred: &Expr| CompiledPredicate::compile(pred, t.schema()).is_some();
+        // Functions, arithmetic, and cross-type ordering stay on the
+        // scalar VM.
         let f = Expr::Func(crate::expr::Func::Length, vec![col("name")]).gt(lit(3));
-        assert!(filter_columnar(&t, &f, &cfg).is_none());
+        assert!(!compiles(&f));
         let arith = Expr::Bin(BinOp::Add, Box::new(col("age")), Box::new(lit(1))).ge(lit(8));
-        assert!(filter_columnar(&t, &arith, &cfg).is_none());
-        assert!(filter_columnar(&t, &col("name").lt(lit(3)), &cfg).is_none());
+        assert!(!compiles(&arith));
+        assert!(!compiles(&col("name").lt(lit(3))));
         // Non-boolean columns are not predicates.
-        assert!(filter_columnar(&t, &col("age"), &cfg).is_none());
+        assert!(!compiles(&col("age")));
     }
 
     #[test]
     fn empty_and_keep_all_paths() {
         let t = table();
-        // Keep-all shares storage, exactly like the row engine.
         assert_matches_oracle(&t, &col("age").is_null().or(col("age").is_null().not()));
         let empty = Table::new("E", t.schema().clone());
         assert_matches_oracle(&empty, &col("age").ge(lit(0)));

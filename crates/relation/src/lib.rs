@@ -33,7 +33,7 @@ pub mod pretty;
 pub mod scalar;
 pub mod table;
 
-pub use column::kernel::{filter_columnar, BoolMask, CompiledPredicate};
+pub use column::kernel::{BoolMask, CompiledPredicate};
 pub use column::sort::sort_permutation;
 pub use column::{
     Column as ChunkColumn, ColumnChunk, ColumnData, ColumnarError, Dictionary, GroupCodes,

@@ -1,15 +1,14 @@
 //! Morsel-parallel scalar evaluation over compiled [`Program`]s.
 //!
-//! The executor-facing twins of [`crate::filter_columnar`]: the same
-//! compile-once front end, but the scalar VM backend — which never
-//! declines: every expression compiles, and one the recursive walker
-//! would fail on fails on the same row with the same error (see
-//! [`Program::compile`]). Work is split into [`bi_exec::MORSEL_ROWS`]
-//! morsels under `cfg.threads`; each worker runs its own [`Vm`] over
-//! the shared program, and error discipline matches the serial walk
-//! exactly (the lowest-indexed morsel's error wins, which is the serial
-//! first error). [`Table::filter`] and [`Table::map_rows`] are these
-//! entry points on one thread.
+//! The scalar VM's executor-facing entry points: compile once, run per
+//! row — and never decline: every expression compiles, and one the
+//! recursive walker would fail on fails on the same row with the same
+//! error (see [`Program::compile`]). Work is split into
+//! [`bi_exec::MORSEL_ROWS`] morsels under `cfg.threads`; each worker
+//! runs its own [`Vm`] over the shared program, and error discipline
+//! matches the serial walk exactly (the lowest-indexed morsel's error
+//! wins, which is the serial first error). [`Table::filter`] and
+//! [`Table::map_rows`] are these entry points on one thread.
 //!
 //! Counters (when `cfg.obs` is enabled): `vm.compile` per program
 //! compiled, `vm.exec` per operator run over a table.

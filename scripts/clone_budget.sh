@@ -56,30 +56,35 @@ declare -A BUDGET=(
   [crates/report/src/engine.rs]=32
   # bi-exec call sites: parallel operators must share via Arc/borrows,
   # not clone per worker. bi-exec itself moves morsel outputs, never
-  # clones. Re-baselined 23 -> 21 when the columnar join moved into the
-  # pipeline: non-test exec.rs is at 13 (the row join and the columnar
-  # aggregate/sort clone *surviving* rows and first key cells, which is
-  # the byte-identity contract, not an accident); the other 8 sites are
-  # in #[cfg(test)] oracle fixtures.
-  [crates/query/src/exec.rs]=21
+  # clones. 21 -> 20 when the columnar aggregate left (the pipeline is
+  # the one columnar executor for filters and group-bys): non-test
+  # exec.rs is at 12 (the row engine, the row join and the columnar
+  # sort clone *surviving* rows and first key cells, which is the
+  # byte-identity contract, not an accident); the other 8 sites are in
+  # #[cfg(test)] oracle fixtures.
+  [crates/query/src/exec.rs]=20
   # Fused pipeline: clones only survivors (late materialization — the
-  # emit paths, now also the streamed join's build cells) and
-  # first-encountered group keys/values in the partial-aggregate
-  # states. Re-baselined 11 -> 21 when joins began streaming through
-  # it: the join's build index (one offsets copy, one key per distinct
-  # build key), a group's key codes when it opens, the output name and
-  # schema handles (Arc), a chain's op list when a computed probe side
-  # is fused on its own, and one test fixture. Selection vectors, not
-  # rows, cross stages; no per-row `Value` clone was added outside the
-  # emitted output.
-  [crates/query/src/pipeline.rs]=21
+  # emit paths, including the streamed join's build cells) and each
+  # group's first key cells when it opens; aggregates read member cells
+  # by reference. 21 -> 16 when the aggregate sink became
+  # slot-then-evaluate (no partial states, no per-group key codes).
+  # The rest: the join's build index (one offsets copy, one key per
+  # distinct build key), the output name and schema handles (Arc), a
+  # chain's op list when a computed probe side fuses on its own, the
+  # kernel column list the chunk conversion starts from, and two test
+  # fixtures. Selection vectors, not rows, cross stages;
+  # no per-row `Value` clone was added outside the emitted output.
+  [crates/query/src/pipeline.rs]=16
   [crates/anonymize/src/kanon.rs]=7
   [crates/anonymize/src/mondrian.rs]=6
   [crates/exec/src/lib.rs]=0
   # Columnar layer: conversion clones cell values once into typed
   # vectors; kernels must operate on codes/primitives, never on Values.
+  # kernel.rs 6 -> 4 when its filter driver left (the fused pipeline
+  # drives the kernels): three literal copies at compile time and one
+  # test fixture.
   [crates/relation/src/column/mod.rs]=1
-  [crates/relation/src/column/kernel.rs]=6
+  [crates/relation/src/column/kernel.rs]=4
   # Table: a derived table clones only the cells it keeps — each
   # survivor of a distinct once (and only when a row was dropped;
   # otherwise the storage is shared), projected, sorted and unioned

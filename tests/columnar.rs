@@ -1,21 +1,21 @@
 //! Columnar/row equivalence properties.
 //!
 //! The vectorized columnar layer's contract mirrors the parallel one
-//! but is stricter about *how* it may differ: a columnar operator either
+//! but is stricter about *how* it may differ: a columnar plan either
 //! produces output **byte-identical** to the row engine (same rows, same
 //! order, same schema, same name) or declines and the row engine runs.
 //! These properties drive random tables — with NULLs, Dates, Floats and
-//! dictionary-encoded text — through the vectorized filter kernels, the
-//! dictionary-code join, the dense-code group-by and the columnar
-//! QI-grouping in both anonymizers, at 1, 2 and 8 threads. Error cases
-//! must error identically.
+//! dictionary-encoded text — through the columnar engine's one executor
+//! for filters, joins and group-bys (the fused pipeline: vectorized
+//! filter kernels, the dictionary-code join, the code-slotted group-by)
+//! and the columnar QI-grouping in both anonymizers, at 1, 2 and 8
+//! threads. Error cases must error identically.
 
 use plabi::anonymize::{kanon, mondrian, Hierarchy};
 use plabi::exec::ExecConfig;
 use plabi::prelude::*;
 use plabi::query::{execute, execute_with};
 use plabi::relation::expr::{col, lit, Expr};
-use plabi::relation::filter_columnar;
 use plabi::types::{Column, DataType, Schema};
 use proptest::prelude::*;
 
@@ -135,25 +135,11 @@ fn predicate() -> impl Strategy<Value = Expr> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The vectorized filter either declines or matches the row filter
-    /// byte for byte — rows, order, schema, name — at every thread count.
-    #[test]
-    fn columnar_filter_identical_to_row(rows in mixed_rows(), pred in predicate()) {
-        let t = mixed_table(&rows);
-        let oracle = t.filter(&pred).expect("generated predicates are well-typed");
-        for threads in THREADS {
-            let cfg = ExecConfig::with_threads(threads).with_pinned_threads(true).with_columnar(true);
-            // Declining (`None`) is always allowed; the engine falls back.
-            if let Some(out) = filter_columnar(&t, &pred, &cfg) {
-                prop_assert_eq!(out.rows(), oracle.rows(), "threads={}", threads);
-                prop_assert_eq!(out.schema(), oracle.schema());
-                prop_assert_eq!(out.name(), oracle.name());
-            }
-        }
-    }
-
-    /// Same property end-to-end through the query engine: a columnar
-    /// `ExecConfig` never changes what a filter plan returns.
+    /// A columnar `ExecConfig` never changes what a filter plan returns:
+    /// the fused pipeline runs every predicate that compiles on the
+    /// vectorized kernels (the rest on the scalar VM) and matches the
+    /// row filter byte for byte — rows, order, schema, name — at every
+    /// thread count.
     #[test]
     fn columnar_engine_filter_identical(rows in mixed_rows(), pred in predicate()) {
         let t = mixed_table(&rows);

@@ -10,8 +10,8 @@
 //!   never served after the table mutates: renders interleaved with
 //!   mutations always match the serial oracle on the current rows, and
 //!   the hit/miss counters track version changes exactly.
-//! * **Engine pinning** — a join or grouped aggregate runs the columnar
-//!   kernel or the serial row engine and nothing else, so known
+//! * **Engine pinning** — a join or grouped aggregate runs the fused
+//!   pipeline or the serial row engine and nothing else, so known
 //!   workloads pin known choices (asserted via `plan.choice.*`
 //!   counters).
 
@@ -284,13 +284,14 @@ fn plan_choices(
 }
 
 /// Engine selection has two rungs, pinned per workload: a grouped
-/// aggregate runs the columnar kernel when the config allows and the
-/// key converts, and the serial row engine otherwise — at any row
-/// count, key cardinality or thread count.
+/// aggregate runs the fused pipeline when the config is columnar — a
+/// key that declines conversion only moves it from code to `Value`
+/// slotting — and the serial row engine otherwise, at any row count,
+/// key cardinality or thread count.
 #[test]
 fn planner_choices_are_pinned_per_workload() {
     let serial = vec![("plan.choice.serial", 1)];
-    let columnar = vec![("plan.choice.columnar", 1)];
+    let pipeline = vec![("plan.choice.pipeline", 1)];
     for threads in [1, 8] {
         for distinct_keys in [false, true] {
             for rows in [1_000, 10_000] {
@@ -302,13 +303,13 @@ fn planner_choices_are_pinned_per_workload() {
                 );
                 assert_eq!(
                     plan_choices("Id", rows, distinct_keys, threads, true),
-                    columnar,
+                    pipeline,
                     "{case}"
                 );
-                // A key that declines conversion falls to the row engine.
+                // A key that declines conversion still fuses.
                 assert_eq!(
                     plan_choices("F", rows, distinct_keys, threads, true),
-                    serial,
+                    pipeline,
                     "{case}"
                 );
             }

@@ -1,17 +1,19 @@
 //! Pipelined-executor equivalence properties.
 //!
 //! The fused morsel pipeline (`bi-query::pipeline`) carries a stronger
-//! contract than "same answer": for every plan it intercepts it must be
-//! **byte-identical** to the operator-at-a-time engine — same rows, same
-//! order, same schema, same name, and the same typed error when the plan
+//! contract than "same answer": for every plan it intercepts (every
+//! Filter/Project/Join/Aggregate root, lone operators included) it must
+//! be **byte-identical** to the operator-at-a-time engine — same rows,
+//! same order, same schema, same name, and the same typed error when the plan
 //! errors — at 1, 2 and 8 threads. These properties drive random
 //! Filter/Project chains under Materialize, Limit and Aggregate sinks
 //! (with NULLs, Dates, Floats and dictionary text) through both engines,
 //! stream random inner and left joins (text, Int, Int⋈Float and
 //! two-column keys, NULL and duplicate build keys) into the same sinks,
-//! and pin that PLA `FilterRows` obligations and the PLA-rewritten
-//! star-join report over a synthesized scenario actually execute through
-//! a fused pipeline rather than quietly falling back.
+//! pin the aggregate sink's edge cases, and pin that PLA `FilterRows`
+//! obligations and the PLA-rewritten star-join report over a synthesized
+//! scenario actually execute through a fused pipeline rather than
+//! quietly falling back.
 
 use plabi::exec::{ExecConfig, Obs};
 use plabi::prelude::*;
@@ -167,8 +169,8 @@ fn chain_op() -> impl Strategy<Value = Op> {
 
 /// The pipeline sink: plain materialize, a limit, or a full aggregation
 /// (the breaker). `sum(Ward)` is deliberately ill-typed so error plans
-/// are generated too, and `avg(Score)`/`sum(Score)` exercise the
-/// retained (replay-at-finalize) partial state.
+/// are generated too, and `avg(Score)`/`sum(Score)` exercise row-order
+/// float accumulation.
 #[derive(Debug, Clone)]
 enum SinkSpec {
     Materialize,
@@ -489,12 +491,13 @@ proptest! {
     }
 }
 
-/// Many morsels: group slots merge by code across morsels in morsel
+/// Many morsels: rows slot into groups by code across morsels, in row
 /// order. A 9k-row probe side, grouped by build-side Float (±0.0, NULL
 /// from left-join padding), Date and text keys and by a probe Int key,
 /// at 1/2/8 threads — every result through the code-slotted sink. The
-/// `0.0` group opens with `+0.0` in the first morsel and with `-0.0` in
-/// the later ones, so the merge must keep the first morsel's key cell.
+/// `0.0` group opens with `+0.0` in the first morsel and meets `-0.0`
+/// in the later ones, so the group must keep the first morsel's key
+/// cell.
 #[test]
 fn multi_morsel_join_aggregates_match_oracle() {
     let morsel = plabi::exec::MORSEL_ROWS as i64;
@@ -598,9 +601,9 @@ fn keep_all_filter_shares_storage() {
     );
 }
 
-/// An aggregate the partial states cannot reproduce bit-for-bit (here a
-/// numeric fold over a Text column) is a *counted* decline — the chain
-/// still runs operator-at-a-time and errors exactly like the oracle.
+/// An aggregate header the oracle rejects (here a sum over a Text
+/// column) is a *counted* shape decline — the chain still runs
+/// operator-at-a-time and errors exactly like the oracle.
 #[test]
 fn unreproducible_aggregate_declines_and_matches_oracle() {
     let rows: Vec<MixedRow> = vec![(Some(1), None, Some(2), None, Some(true))];
@@ -720,32 +723,185 @@ fn empty_input_global_aggregate_matches_oracle() {
     );
 }
 
-/// Single-operator plans are not worth fusing: the pipeline leaves them
-/// on the operator-at-a-time path and no pipeline counter fires.
+/// Lone operators fuse: a single Filter, Project or grouped Aggregate
+/// is served by the pipeline — the one columnar executor for them —
+/// never by an operator-at-a-time columnar kernel, and equals the
+/// oracle.
 #[test]
-fn single_op_plans_are_not_fused() {
+fn single_op_plans_fuse() {
     let rows: Vec<MixedRow> = (0..50)
         .map(|i| (Some(i), None, Some((i % 4) as u8), None, None))
         .collect();
     let cat = mixed_catalog(&rows);
-    let obs = Obs::enabled();
-    let cfg = pipeline_cfg(1).with_obs(obs.clone());
-    let plan = scan("Mixed").filter(col("Age").ge(lit(25)));
-    let out = execute_with(&plan, &cat, &cfg).unwrap();
-    assert_eq!(out.rows().len(), 25);
-    let snap = obs.snapshot();
-    assert_eq!(
-        snap.counters.get("plan.choice.pipeline"),
-        None,
-        "one op: nothing to fuse"
-    );
-    assert!(
-        snap.counters
-            .get("plan.choice.columnar")
-            .copied()
-            .unwrap_or(0)
-            >= 1
-    );
+    let plans = [
+        scan("Mixed").filter(col("Age").ge(lit(25))),
+        scan("Mixed").project(vec![(
+            "Age".to_string(),
+            Expr::Bin(BinOp::Add, Box::new(col("Age")), Box::new(lit(1))),
+        )]),
+        scan("Mixed").aggregate(
+            vec!["Ward".into()],
+            vec![
+                AggItem::count_star("n"),
+                AggItem::new("s", AggFunc::Sum, "Age"),
+            ],
+        ),
+    ];
+    for plan in &plans {
+        let obs = Obs::enabled();
+        let got = execute_with(plan, &cat, &pipeline_cfg(1).with_obs(obs.clone()));
+        assert_identical(&execute(plan, &cat), &got, &plan.to_string()).unwrap();
+        let snap = obs.snapshot();
+        assert_eq!(
+            snap.counters.get("plan.choice.pipeline"),
+            Some(&1),
+            "{plan}: {:?}",
+            snap.counters
+        );
+        assert_eq!(snap.counters.get("plan.choice.columnar"), None, "{plan}");
+    }
+    let filtered = execute_with(&plans[0], &cat, &pipeline_cfg(1)).unwrap();
+    assert_eq!(filtered.rows().len(), 25);
+}
+
+/// The aggregate sink's edge cases, end to end: an integer `sum` that
+/// overflows at a prefix but not in total (`[i64::MAX, 1, -1]`) beside
+/// one that never overflows (`[i64::MAX, -1, 1]`), both in a group that
+/// straddles the first morsel boundary; `min`/`max` over `0.0`/`-0.0`
+/// ties and a `0.0`/`-0.0` group key; `avg` over text; and
+/// `count_distinct`/`avg` without an argument. Each runs grouped and
+/// global, lone, behind a kernel filter and behind a computed
+/// projection, over empty and non-empty input at 1/2/8 threads: every
+/// result or typed error is the oracle's, no aggregate is refused with a
+/// shape decline, and every plan the oracle runs is fused.
+#[test]
+fn aggregate_sink_edge_cases_match_oracle() {
+    let morsel = plabi::exec::MORSEL_ROWS;
+    let schema = Schema::new(vec![
+        Column::nullable("G", DataType::Text),
+        Column::nullable("I", DataType::Int),
+        Column::nullable("J", DataType::Int),
+        Column::nullable("F", DataType::Float),
+        Column::nullable("T", DataType::Text),
+    ])
+    .unwrap();
+    // Rows morsel-1, morsel and morsel+1 hold the only I and J values,
+    // all in group "edge": the first morsel ends after the first.
+    let sums = |i: usize| match i.checked_sub(morsel - 1)? {
+        0 => Some((i64::MAX, i64::MAX)),
+        1 => Some((1, -1)),
+        2 => Some((-1, 1)),
+        _ => None,
+    };
+    let rows: Vec<Vec<Value>> = (0..morsel + 200)
+        .map(|i| {
+            let sum = sums(i);
+            let g = match (sum, i % 11) {
+                (Some(_), _) => Value::text("edge"),
+                (None, 0) => Value::Null,
+                (None, k) => Value::text(format!("g{}", k % 3)),
+            };
+            let f = match i % 4 {
+                0 => Value::Float(-0.0),
+                2 => Value::Null,
+                _ => Value::Float(0.0),
+            };
+            let t = if i % 5 == 0 {
+                Value::Null
+            } else {
+                Value::text(format!("t{}", i % 4))
+            };
+            vec![
+                g,
+                sum.map_or(Value::Null, |(v, _)| Value::Int(v)),
+                sum.map_or(Value::Null, |(_, v)| Value::Int(v)),
+                f,
+                t,
+            ]
+        })
+        .collect();
+    let no_arg = |name: &str, func: AggFunc| AggItem {
+        name: name.into(),
+        func,
+        arg: None,
+    };
+    let agg_sets = [
+        vec![
+            AggItem::count_star("n"),
+            AggItem::new("si", AggFunc::Sum, "I"),
+        ],
+        vec![
+            AggItem::count_star("n"),
+            AggItem::new("sj", AggFunc::Sum, "J"),
+            AggItem::new("lo", AggFunc::Min, "F"),
+            AggItem::new("hi", AggFunc::Max, "F"),
+            AggItem::new("af", AggFunc::Avg, "F"),
+            AggItem::new("df", AggFunc::CountDistinct, "F"),
+            AggItem::new("ct", AggFunc::Count, "T"),
+        ],
+        vec![AggItem::new("at", AggFunc::Avg, "T")],
+        vec![no_arg("cd", AggFunc::CountDistinct)],
+        vec![no_arg("av", AggFunc::Avg)],
+    ];
+    let computed = vec![
+        ("G".to_string(), col("G")),
+        (
+            "I".to_string(),
+            Expr::Bin(BinOp::Add, Box::new(col("I")), Box::new(lit(0))),
+        ),
+        ("J".to_string(), col("J")),
+        ("F".to_string(), col("F")),
+        ("T".to_string(), col("T")),
+    ];
+    for data in [rows, Vec::new()] {
+        let empty = data.is_empty();
+        let mut cat = Catalog::new();
+        cat.add_table(Table::from_rows("Edge", schema.clone(), data).unwrap())
+            .unwrap();
+        if !empty {
+            // The fixture does what the cases need: the prefix overflow
+            // errors, its mirror sums to `i64::MAX`.
+            let by_g = |aggs: &[AggItem]| {
+                execute(
+                    &scan("Edge").aggregate(vec!["G".into()], aggs.to_vec()),
+                    &cat,
+                )
+            };
+            let err = by_g(&agg_sets[0]).unwrap_err();
+            assert!(err.to_string().contains("overflow"), "{err}");
+            let ok = by_g(&agg_sets[1]).unwrap();
+            assert!(ok.rows().iter().any(|r| r[2] == Value::Int(i64::MAX)));
+        }
+        let inputs = [
+            scan("Edge"),
+            scan("Edge").filter(col("G").ne(lit("g1"))),
+            scan("Edge").project(computed.clone()),
+        ];
+        for input in &inputs {
+            for group_by in [vec![], vec!["G".to_string()], vec!["F".to_string()]] {
+                for aggs in &agg_sets {
+                    let plan = input.clone().aggregate(group_by.clone(), aggs.clone());
+                    let oracle = execute(&plan, &cat);
+                    for threads in THREADS {
+                        let obs = Obs::enabled();
+                        let cfg = pipeline_cfg(threads).with_obs(obs.clone());
+                        let got = execute_with(&plan, &cat, &cfg);
+                        assert_identical(&oracle, &got, &format!("{plan} threads={threads}"))
+                            .unwrap();
+                        let snap = obs.snapshot();
+                        assert_eq!(snap.counters.get("pipeline.decline.shape"), None, "{plan}");
+                        if oracle.is_ok() {
+                            assert_eq!(
+                                snap.counters.get("plan.choice.pipeline"),
+                                Some(&1),
+                                "{plan} threads={threads}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ---------- PLA obligations run through the fused pipeline ----------
