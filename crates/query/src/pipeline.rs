@@ -12,13 +12,19 @@
 //!   (cached) [`ColumnChunk`] when they compile, scalar-VM programs
 //!   otherwise. Survivors travel as a selection vector — no row is
 //!   copied just to be dropped by the next stage.
-//! * **Projections** compile to VM programs against the statically
-//!   inferred intermediate schema ([`bi_relation::project_schema`]) and
-//!   materialize only the rows that survived every filter below them
-//!   (late materialization). A *trailing* projection of bare column
-//!   references — the pruning shape PLA rewrites produce — never
-//!   materializes at all: it compiles to a column remap the sink
-//!   applies, so survivors stream from source storage into the sink.
+//! * **Projections** of bare columns and of kernel masks
+//!   `if(cond, col, NULL)` — the pruning and masking shapes PLA
+//!   rewrites produce — compile to *slots* over source rows, anywhere in
+//!   the chain: a slot is a source column, shown only where its mask is
+//!   TRUE when it has one. Each mask is a predicate kernel evaluated
+//!   once per run over the source chunk, and every sink reads a masked
+//!   cell as NULL, the way it reads left-join padding. Operators above
+//!   slots are composed through them onto the source schema (a bare
+//!   slot becomes its column, a masked one its `if(cond, col, NULL)`),
+//!   so a filter there is still a kernel where it compiles. Any other
+//!   projection compiles to VM programs and materializes only the rows
+//!   that survived every filter below it (late materialization); every
+//!   stage above it runs on the VM over those rows.
 //! * An equality **join** (inner or left) directly under the sink is
 //!   streamed too. Its build (right) side runs through the normal
 //!   evaluator and is indexed from its cached key chunk; the chain above
@@ -30,11 +36,12 @@
 //!   stages in parallel down to their output rows; one serial pass in
 //!   row order slots those rows into first-appearance groups by
 //!   per-column codes from the cached chunks (dictionary codes for text,
-//!   the column's cached dense codes otherwise) — only rows a VM
-//!   projection materialized, or key columns that declined conversion,
-//!   hash their `Value`s. Each group then evaluates every aggregate over
-//!   its members in row order: a typed kernel over the argument's cached
-//!   column when the argument is a source column, the oracle's own
+//!   the column's cached dense codes otherwise, NULL's code where a mask
+//!   hides the cell) — only rows a VM projection materialized, or key
+//!   columns that declined conversion, hash their `Value`s. Each group
+//!   then evaluates every aggregate over its members in row order: a
+//!   typed kernel over the argument's cached column when the argument is
+//!   a (possibly masked) source column, the oracle's own
 //!   [`exec::eval_agg_values`] otherwise. A terminal **Limit** stops
 //!   early when every stage is an infallible kernel.
 //!
@@ -74,15 +81,17 @@
 //! identical — only which error comes first can differ. That is why the
 //! error fallback re-runs instead of surfacing the fused error.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use bi_exec::{Counter, ExecConfig};
+use bi_relation::expr::col;
 use bi_relation::{
-    ChunkColumn, ColumnChunk, ColumnData, ColumnarError, CompiledPredicate, Expr, GroupCodes,
-    Program, RelationError, Table, Vm,
+    BoolMask, ChunkColumn, ColumnChunk, ColumnData, ColumnarError, CompiledPredicate, Expr, Func,
+    GroupCodes, Program, RelationError, Table, Vm,
 };
 use bi_types::{DataType, Schema, Value};
 
@@ -237,7 +246,8 @@ fn decompose(plan: &Plan) -> Option<Chain<'_>> {
 // ---------------------------------------------------------------------
 
 enum Stage {
-    /// Vectorized predicate over the source chunk (pre-projection only).
+    /// Vectorized predicate over the source chunk (before any VM
+    /// projection).
     Kernel(CompiledPredicate),
     /// Scalar-VM predicate over whatever rows reach it.
     VmFilter(Program),
@@ -251,6 +261,9 @@ enum Slot {
     /// A column of the row leaving the probe chain: a source column, or
     /// one of a VM projection's materialized cells.
     Probe(usize),
+    /// Source column `.0` where mask `.1` is TRUE, NULL elsewhere: an
+    /// enforcement mask `if(cond, col, NULL)`, never evaluated per row.
+    Masked(usize, usize),
     /// A column of the matching build row (NULL for left-join padding).
     Build(usize),
 }
@@ -271,15 +284,19 @@ struct JoinPlan {
 
 struct Compiled {
     stages: Vec<Stage>,
-    /// Union of source columns the kernel stages read (one conversion).
+    /// Union of source columns the kernel stages and the masks read (one
+    /// conversion).
     kernel_cols: Vec<usize>,
+    /// The masks of the slots the run reads, each evaluated once over
+    /// the source chunk.
+    masks: Vec<CompiledPredicate>,
     /// Schema of the chain's output when it differs from the source's
     /// (a projection or a join).
     schema: Option<Arc<Schema>>,
     /// Where each output column comes from, when that is not simply the
-    /// row leaving the last stage: a trailing bare-column projection (a
-    /// remap) and/or a join's two sides. An aggregate sink consumes it
-    /// at compile time (indices composed away).
+    /// row leaving the last stage: slot projections over source rows
+    /// and/or a join's two sides. An aggregate sink consumes it at
+    /// compile time (indices composed away).
     slots: Option<Vec<Slot>>,
     join: Option<JoinPlan>,
     sink: CompiledSink,
@@ -294,93 +311,104 @@ impl Compiled {
     }
 }
 
-/// Whether `op` materializes rows in a fused chain: every projection
-/// except a trailing one of bare column references (which compiles to a
-/// remap).
-fn op_materializes(op: &ChainOp, last: bool) -> bool {
-    match op {
-        ChainOp::Filter(_) => false,
-        ChainOp::Project(items) => !(last && items.iter().all(|(_, e)| matches!(e, Expr::Col(_)))),
-    }
+/// Why a chain does not compile to one fused run.
+#[derive(Debug)]
+enum Unfused {
+    /// A counted decline: the chain runs operator-at-a-time.
+    Decline(Counter),
+    /// A join whose probe side materializes, or whose probe key reads a
+    /// masked slot: the probe side fuses into a table first.
+    ProbeFirst,
 }
 
-/// Compiles every stage against the *evolving* schema (each projection
-/// replaces it), then the join header and the sink. A projection whose
-/// types don't infer, or a join header that doesn't resolve, declines
-/// the whole chain — the operator-at-a-time fallback raises those
-/// errors in its own order. Filters and projections always compile.
+/// The distinct mask conditions of a chain's slots, over the source
+/// schema, each with its kernel.
+type Masks = Vec<(Expr, CompiledPredicate)>;
+
+/// Compiles every stage against the rows that reach it, then the join
+/// header and the sink. Until a VM projection materializes rows,
+/// projections of bare columns and kernel masks compile to slots over
+/// source rows, and every expression above them is composed through
+/// those slots onto the source schema. A projection whose types don't
+/// infer, or a join header that doesn't resolve, declines the whole
+/// chain — the operator-at-a-time fallback raises those errors in its
+/// own order. Filters and projections always compile.
 fn compile(
     chain: &Chain,
-    src_schema: Arc<Schema>,
+    src: Arc<Schema>,
     build_schema: Option<&Schema>,
-) -> Result<Compiled, Counter> {
-    let mut schema = src_schema;
-    let mut reshaped = false;
+) -> Result<Compiled, Unfused> {
+    let mut schema = Arc::clone(&src);
+    // Each column's slot over source rows once slot projections reshaped
+    // them; `None` while the source's own columns flow, and once a VM
+    // projection has materialized rows.
+    let mut view: Option<Vec<Slot>> = None;
+    let mut materialized = false;
+    let mut masks: Masks = Vec::new();
     let mut stages = Vec::with_capacity(chain.ops.len());
     let mut kernel_cols = std::collections::BTreeSet::new();
-    // A trailing bare-column projection: output → input column.
-    let mut remap: Option<Vec<usize>> = None;
-    for (idx, op) in chain.ops.iter().enumerate() {
+    for op in &chain.ops {
+        // Over slots, expressions compile against the source schema.
+        let over = if view.is_some() { &src } else { &schema };
         match op {
             ChainOp::Filter(pred) => {
-                if !reshaped {
-                    if let Some(k) = CompiledPredicate::compile(pred, &schema) {
+                let pred = through(pred, &schema, view.as_deref(), &src, &masks);
+                let kernel = if materialized {
+                    None
+                } else {
+                    CompiledPredicate::compile(&pred, over)
+                };
+                stages.push(match kernel {
+                    Some(k) => {
                         kernel_cols.extend(k.columns().iter().copied());
-                        stages.push(Stage::Kernel(k));
-                        continue;
+                        Stage::Kernel(k)
                     }
-                }
-                stages.push(Stage::VmFilter(Program::compile(pred, &schema)));
+                    None => Stage::VmFilter(Program::compile(&pred, over)),
+                });
             }
             ChainOp::Project(items) => {
                 let out = match bi_relation::project_schema(&schema, items) {
                     Ok(s) => Arc::new(s),
                     // The oracle's projection raises the same inference
                     // error; declining surfaces it verbatim.
-                    Err(_) => return Err(Counter::PipelineDeclineCompile),
+                    Err(_) => return Err(Unfused::Decline(Counter::PipelineDeclineCompile)),
                 };
-                // A trailing projection of bare column references (the
-                // pruning/rename shape) needs no evaluation: it becomes
-                // a remap the sink applies, and the rows below it stay
-                // unmaterialized.
-                if !op_materializes(op, idx + 1 == chain.ops.len()) {
-                    let map: Option<Vec<usize>> = items
-                        .iter()
-                        .map(|(_, e)| match e {
-                            Expr::Col(name) => schema.index_of(name).ok(),
-                            _ => None,
-                        })
-                        .collect();
-                    if let Some(map) = map {
-                        remap = Some(map);
+                if !materialized {
+                    if let Some(slots) =
+                        slot_items(items, &schema, view.as_deref(), &src, &mut masks)
+                    {
+                        view = Some(slots);
                         schema = out;
-                        reshaped = true;
                         continue;
                     }
                 }
-                let programs = items.iter().map(|(_, e)| Program::compile(e, &schema));
+                let programs = items.iter().map(|(_, e)| {
+                    Program::compile(&through(e, &schema, view.as_deref(), &src, &masks), over)
+                });
                 stages.push(Stage::VmProject(programs.collect()));
+                view = None;
+                materialized = true;
                 schema = out;
-                reshaped = true;
             }
         }
     }
-    let probe_col = |j: usize| remap.as_ref().map_or(j, |m| m[j]);
-    let mut slots: Option<Vec<Slot>> = remap
-        .as_ref()
-        .map(|m| m.iter().copied().map(Slot::Probe).collect());
+    let mut slots = view;
     let mut join = None;
     if let (Some(j), Some(build)) = (chain.join, build_schema) {
+        if materialized {
+            return Err(Unfused::ProbeFirst);
+        }
         // Header errors (duplicate output names, unknown key columns) are
         // the row join's to raise, in its order.
+        let decline = || Unfused::Decline(Counter::PipelineDeclineCompile);
         let Ok(joined) = exec::join_schema(&schema, build, j.kind, j.right_prefix) else {
-            return Err(Counter::PipelineDeclineCompile);
+            return Err(decline());
         };
         let keys = |s: &Schema, side: fn(&(String, String)) -> &String| {
             j.on.iter()
                 .map(|pair| s.index_of(side(pair)))
                 .collect::<Result<Vec<usize>, _>>()
-                .map_err(|_| Counter::PipelineDeclineCompile)
+                .map_err(|_| decline())
         };
         let lks = keys(&schema, |(l, _)| l)?;
         let rks = keys(build, |(_, r)| r)?;
@@ -392,32 +420,39 @@ fn compile(
             lt == rt || (numeric(lt) && numeric(rt))
         });
         if j.on.is_empty() || !compatible {
-            return Err(Counter::PipelineDeclineShape);
+            return Err(Unfused::Decline(Counter::PipelineDeclineShape));
         }
-        let mut out: Vec<Slot> = (0..schema.len())
-            .map(|c| Slot::Probe(probe_col(c)))
-            .collect();
+        let mut out: Vec<Slot> =
+            slots.unwrap_or_else(|| (0..schema.len()).map(Slot::Probe).collect());
+        let probe_keys = lks
+            .iter()
+            .map(|&l| match out[l] {
+                Slot::Probe(c) => Ok(c),
+                _ => Err(Unfused::ProbeFirst),
+            })
+            .collect::<Result<Vec<usize>, _>>()?;
         out.extend((0..build.len()).map(Slot::Build));
         slots = Some(out);
         schema = Arc::new(joined);
-        reshaped = true;
         join = Some(JoinPlan {
             kind: j.kind,
-            probe_keys: lks.into_iter().map(probe_col).collect(),
+            probe_keys,
             build_keys: rks,
         });
     }
-    let sink = match chain.sink {
+    let reshaped = materialized || slots.is_some();
+    let mut sink = match chain.sink {
         Sink::Materialize => CompiledSink::Materialize,
         Sink::Limit(n) => CompiledSink::Limit(n),
         Sink::Aggregate { group_by, aggs } => {
-            let mut agg = compile_agg(&schema, group_by, aggs)?;
+            let mut agg = compile_agg(&schema, group_by, aggs).map_err(Unfused::Decline)?;
             // Compose the slots into the key/argument columns: the sink
             // then reads source (or build, or last-materialized) rows
-            // directly and the remap costs nothing per row.
+            // directly and the slots cost nothing per row.
             if let Some(map) = slots.take() {
                 let at = |s: Slot| match s {
-                    Slot::Probe(j) | Slot::Build(j) => map[j],
+                    Slot::Probe(j) => map[j],
+                    other => other,
                 };
                 for k in &mut agg.keys {
                     *k = at(*k);
@@ -429,14 +464,148 @@ fn compile(
             CompiledSink::Aggregate(agg)
         }
     };
+    let agg = match &mut sink {
+        CompiledSink::Aggregate(a) => Some(a),
+        _ => None,
+    };
+    let read = slots
+        .iter_mut()
+        .flatten()
+        .chain(agg.into_iter().flat_map(|a| {
+            let args = a.specs.iter_mut().filter_map(|s| s.arg.as_mut());
+            a.keys.iter_mut().chain(args)
+        }));
+    let masks = masks_read(masks, read);
+    for k in &masks {
+        kernel_cols.extend(k.columns().iter().copied());
+    }
     Ok(Compiled {
         stages,
         kernel_cols: kernel_cols.into_iter().collect(),
+        masks,
         schema: reshaped.then_some(schema),
         slots,
         join,
         sink,
     })
+}
+
+/// The kernels of the masks the `read` slots use, renumbering those
+/// slots in order of first use: a mask no output reads any more (say,
+/// of a column a later projection dropped) is never evaluated.
+fn masks_read<'s>(
+    masks: Masks,
+    read: impl Iterator<Item = &'s mut Slot>,
+) -> Vec<CompiledPredicate> {
+    let mut pool: Vec<Option<CompiledPredicate>> =
+        masks.into_iter().map(|(_, k)| Some(k)).collect();
+    let mut renumbered: Vec<Option<usize>> = vec![None; pool.len()];
+    let mut kept = Vec::new();
+    for slot in read {
+        if let Slot::Masked(_, m) = slot {
+            let old = *m;
+            *m = *renumbered[old].get_or_insert_with(|| {
+                kept.extend(pool[old].take());
+                kept.len() - 1
+            });
+        }
+    }
+    kept
+}
+
+/// The source column and mask behind a slot over source rows.
+fn source_cell(slot: Slot) -> Option<(usize, Option<usize>)> {
+    match slot {
+        Slot::Probe(c) => Some((c, None)),
+        Slot::Masked(c, m) => Some((c, Some(m))),
+        Slot::Build(_) => None,
+    }
+}
+
+/// `e` over the rows a stage sees: unchanged over source or
+/// materialized rows; over slots, each column it reads becomes its
+/// slot's source form — its column, or `if(cond, col, NULL)` when
+/// masked. A column the slots lack becomes a call that fails wherever
+/// evaluation reaches it, as the unknown column does.
+fn through<'e>(
+    e: &'e Expr,
+    schema: &Schema,
+    view: Option<&[Slot]>,
+    src: &Schema,
+    masks: &Masks,
+) -> Cow<'e, Expr> {
+    let Some(view) = view else {
+        return Cow::Borrowed(e);
+    };
+    Cow::Owned(crate::contain::replace_cols(e, &mut |name| {
+        let cell = schema
+            .index_of(name)
+            .ok()
+            .and_then(|i| source_cell(view[i]));
+        Some(match cell {
+            Some((c, mask)) => {
+                let column = col(src.columns()[c].name.as_str());
+                match mask {
+                    Some(m) => Expr::Func(
+                        Func::If,
+                        vec![masks[m].0.clone(), column, Expr::Lit(Value::Null)],
+                    ),
+                    None => column,
+                }
+            }
+            None => Expr::Func(Func::If, Vec::new()),
+        })
+    }))
+}
+
+/// A projection as slots over source rows: every item a bare column or
+/// a mask `if(p, col, NULL)` whose condition, composed onto the source,
+/// compiles to a kernel (a masked column masked again ANDs the two
+/// conditions). `None` when some item must be evaluated; `masks` is then
+/// left as it was.
+fn slot_items(
+    items: &[(String, Expr)],
+    schema: &Schema,
+    view: Option<&[Slot]>,
+    src: &Schema,
+    masks: &mut Masks,
+) -> Option<Vec<Slot>> {
+    let slot_of = |name: &str| {
+        let i = schema.index_of(name).ok()?;
+        Some(view.map_or(Slot::Probe(i), |v| v[i]))
+    };
+    let fresh = masks.len();
+    let slots = items
+        .iter()
+        .map(|(_, e)| match e {
+            Expr::Col(name) => slot_of(name),
+            Expr::Func(Func::If, args) => {
+                let [p, Expr::Col(name), Expr::Lit(Value::Null)] = args.as_slice() else {
+                    return None;
+                };
+                let (c, shown) = source_cell(slot_of(name)?)?;
+                let p = through(p, schema, view, src, masks).into_owned();
+                let cond = match shown {
+                    Some(m) => masks[m].0.clone().and(p),
+                    None => p,
+                };
+                let m = match masks.iter().position(|(e, _)| *e == cond) {
+                    Some(m) => m,
+                    None => {
+                        let kernel = CompiledPredicate::compile(&cond, src)?;
+                        masks.push((cond, kernel));
+                        masks.len() - 1
+                    }
+                };
+                Some(Slot::Masked(c, m))
+            }
+            _ => None,
+        })
+        .collect::<Option<Vec<Slot>>>();
+    if slots.is_none() {
+        masks.truncate(fresh);
+    }
+    slots
 }
 
 struct AggSpec {
@@ -546,17 +715,16 @@ fn run_chain(
     chain: &Chain,
     cfg: &ExecConfig,
 ) -> Result<Table, QueryError> {
-    if chain.join.is_some() {
-        let last = chain.ops.len().saturating_sub(1);
-        if chain
-            .ops
-            .iter()
-            .enumerate()
-            .any(|(i, op)| op_materializes(op, i == last))
-        {
-            // Computed probe columns: fuse the probe side on its own into
-            // a table (the oracle evaluates it first too), then stream the
-            // join over that table's key columns.
+    let compiled = match compile(
+        chain,
+        src.schema_shared(),
+        build.as_ref().map(Table::schema),
+    ) {
+        Ok(c) => c,
+        Err(Unfused::ProbeFirst) => {
+            // Computed or masked probe cells: fuse the probe side on its
+            // own into a table (the oracle evaluates it first too), then
+            // stream the join over that table's key columns.
             let probe_side = Chain {
                 ops: chain.ops.clone(),
                 join: None,
@@ -570,14 +738,7 @@ fn run_chain(
             };
             return run_chain(probe, build, &join_only, cfg);
         }
-    }
-    let compiled = match compile(
-        chain,
-        src.schema_shared(),
-        build.as_ref().map(Table::schema),
-    ) {
-        Ok(c) => c,
-        Err(decline) => {
+        Err(Unfused::Decline(decline)) => {
             cfg.obs.count(decline);
             return run_ops(src, build, chain, cfg);
         }
@@ -673,15 +834,18 @@ fn count_ops(chain: &Chain, cfg: &ExecConfig) {
     }
 }
 
-/// The cached column chunks a fused run reads.
+/// The cached column chunks a fused run reads, and its masks.
 struct Chunks {
-    /// Source columns: kernel inputs, probe keys, probe-side group keys.
+    /// Source columns: kernel and mask inputs, probe keys, probe-side
+    /// group keys.
     src: Option<ColumnChunk>,
     /// Build columns: join keys and build-side group keys.
     build: Option<ColumnChunk>,
     /// Whether every group-key column converted (the aggregate sink then
     /// slots rows by codes).
     coded: bool,
+    /// Each mask's truth over the source rows, evaluated once.
+    masks: Vec<BoolMask>,
 }
 
 impl Chunks {
@@ -705,7 +869,7 @@ impl Chunks {
         let (mut src_keys, mut build_keys) = (Vec::new(), Vec::new());
         for k in keyed.iter().flat_map(|sink| &sink.keys) {
             match *k {
-                Slot::Probe(c) => src_keys.push(c),
+                Slot::Probe(c) | Slot::Masked(c, _) => src_keys.push(c),
                 Slot::Build(c) => build_keys.push(c),
             }
         }
@@ -714,10 +878,27 @@ impl Chunks {
             Some(b) => convert_side(b, &build_cols, &build_keys, cfg)?,
             None => (None, true),
         };
+        let masks = if compiled.masks.is_empty() {
+            Vec::new()
+        } else {
+            // A constant mask reads no column: it runs over an empty
+            // chunk of the source's length.
+            let empty;
+            let chunk = match &src_chunk {
+                Some(c) => c,
+                None => {
+                    empty = ColumnChunk::from_table_cols(src, &[])?;
+                    &empty
+                }
+            };
+            let whole = |k: &CompiledPredicate| k.eval_range(chunk, 0, chunk.len());
+            compiled.masks.iter().map(whole).collect()
+        };
         Ok(Chunks {
             src: src_chunk,
             build: build_chunk,
             coded: keyed.is_some() && src_coded && build_coded,
+            masks,
         })
     }
 }
@@ -934,6 +1115,8 @@ fn hash_lists(keys: &[KeyEnc], build_len: usize) -> MatchLists {
 /// A group-key column's codes, from either side of the join.
 enum KeyCodes<'a> {
     Probe(GroupCodes<'a>),
+    /// A masked source column: NULL's code where its mask is not TRUE.
+    Masked(GroupCodes<'a>, &'a BoolMask),
     Build(GroupCodes<'a>),
 }
 
@@ -942,6 +1125,8 @@ impl KeyCodes<'_> {
     fn code(&self, p: u32, b: u32) -> u32 {
         match self {
             KeyCodes::Probe(g) => g.code(p as usize),
+            KeyCodes::Masked(g, m) if m.is_true(p as usize) => g.code(p as usize),
+            KeyCodes::Masked(g, _) => g.null_code(),
             KeyCodes::Build(g) if b == NO_ROW => g.null_code(),
             KeyCodes::Build(g) => g.code(b as usize),
         }
@@ -949,7 +1134,7 @@ impl KeyCodes<'_> {
 
     fn cardinality(&self) -> u32 {
         match self {
-            KeyCodes::Probe(g) | KeyCodes::Build(g) => g.cardinality(),
+            KeyCodes::Probe(g) | KeyCodes::Masked(g, _) | KeyCodes::Build(g) => g.cardinality(),
         }
     }
 }
@@ -960,6 +1145,8 @@ struct Fused<'a> {
     build_rows: &'a [Vec<Value>],
     compiled: &'a Compiled,
     chunk: Option<&'a ColumnChunk>,
+    /// Each mask's truth over the source rows.
+    masks: &'a [BoolMask],
     join: Option<Joiner<'a>>,
     /// Group-key codes when the aggregate sink slots rows by code.
     codes: Option<Vec<KeyCodes<'a>>>,
@@ -996,6 +1183,10 @@ impl<'a> Fused<'a> {
                     .iter()
                     .map(|k| match *k {
                         Slot::Probe(c) => side(&chunks.src, c).map(KeyCodes::Probe),
+                        Slot::Masked(c, m) => {
+                            let mask = chunks.masks.get(m).ok_or(PipeErr::Degrade)?;
+                            side(&chunks.src, c).map(|g| KeyCodes::Masked(g, mask))
+                        }
                         Slot::Build(c) => side(&chunks.build, c).map(KeyCodes::Build),
                     })
                     .collect();
@@ -1008,6 +1199,7 @@ impl<'a> Fused<'a> {
             build_rows: build.map_or(&[], Table::rows),
             compiled,
             chunk: chunks.src.as_ref(),
+            masks: &chunks.masks,
             join,
             codes,
             name,
@@ -1027,6 +1219,15 @@ impl<'a> Fused<'a> {
             .schema
             .clone()
             .unwrap_or_else(|| self.src.schema_shared())
+    }
+
+    /// Cells of source rows and build rows, masks applied.
+    fn cells(&self) -> Cells<'a> {
+        Cells {
+            probe: self.src.rows(),
+            build: self.build_rows,
+            masks: self.masks,
+        }
     }
 
     /// One morsel through every stage. Selection vectors pass through
@@ -1049,7 +1250,7 @@ impl<'a> Fused<'a> {
                             sel.retain(|&i| mask.is_true(i as usize - start));
                             MorselRows::Sel(sel)
                         }
-                        // Kernels never compile after a projection.
+                        // Kernels never compile after a VM projection.
                         MorselRows::Mat(_) => return Err(PipeErr::Degrade),
                     }
                 }
@@ -1159,24 +1360,16 @@ impl<'a> Fused<'a> {
 
     /// Source row `p` with build row `b`, as the chain outputs it.
     fn emit(&self, p: u32, b: u32) -> Vec<Value> {
-        let probe = &self.src.rows()[p as usize];
         let Some(slots) = &self.compiled.slots else {
-            return probe.clone();
+            return self.src.rows()[p as usize].clone();
         };
-        let build = self.build_rows.get(b as usize);
-        slots
-            .iter()
-            .map(|&s| match (s, build) {
-                (Slot::Probe(c), _) => probe[c].clone(),
-                (Slot::Build(c), Some(cells)) => cells[c].clone(),
-                (Slot::Build(_), None) => Value::Null,
-            })
-            .collect()
+        let cells = self.cells();
+        slots.iter().map(|&s| cells.get(p, b, s).clone()).collect()
     }
 
     /// The first `limit` rows of one morsel's output as the chain
-    /// outputs them. Materialized rows the chain outputs as they are
-    /// move instead of being copied.
+    /// outputs them. Materialized rows (which no slot reads) move
+    /// instead of being copied.
     fn emit_output(&self, out: Output, limit: usize) -> Vec<Vec<Value>> {
         match out {
             Output::Range(s, e) => (s..e).take(limit).map(|p| self.emit(p, NO_ROW)).collect(),
@@ -1185,25 +1378,10 @@ impl<'a> Fused<'a> {
                 .take(limit)
                 .map(|&(p, b)| self.emit(p, b))
                 .collect(),
-            Output::Mat(mut rows) => match &self.compiled.slots {
-                None => {
-                    rows.truncate(limit);
-                    rows
-                }
-                // A trailing remap over materialized rows (which never
-                // join).
-                Some(slots) => rows
-                    .iter()
-                    .take(limit)
-                    .map(|row| {
-                        let cell = |&s: &Slot| match s {
-                            Slot::Probe(c) => row[c].clone(),
-                            Slot::Build(_) => Value::Null,
-                        };
-                        slots.iter().map(cell).collect()
-                    })
-                    .collect(),
-            },
+            Output::Mat(mut rows) => {
+                rows.truncate(limit);
+                rows
+            }
         }
     }
 
@@ -1250,7 +1428,7 @@ impl<'a> Fused<'a> {
 
     fn limit(&self, n: usize, cfg: &ExecConfig) -> Result<Table, PipeErr> {
         let len = self.src.len();
-        // Kernels, remaps and the join probe are pure and infallible:
+        // Kernels, slots and the join probe are pure and infallible:
         // stopping after `n` rows cannot suppress an error the oracle
         // would raise. A fallible stage must see every row — the
         // oracle's Limit fully materializes its input.
@@ -1317,7 +1495,7 @@ impl<'a> Fused<'a> {
         }
         let cells = Cells {
             probe: if materialized { &mat } else { self.src.rows() },
-            build: self.build_rows,
+            ..self.cells()
         };
         let total = outs
             .iter()
@@ -1348,7 +1526,7 @@ impl<'a> Fused<'a> {
             .specs
             .iter()
             .map(|spec| match spec.arg {
-                Some(Slot::Probe(c)) if !materialized => {
+                Some(Slot::Probe(c) | Slot::Masked(c, _)) if !materialized => {
                     match ColumnChunk::from_table_cols_cached(self.src, &[c], cfg) {
                         Ok(chunk) => Some(chunk),
                         Err(e) => {
@@ -1364,11 +1542,15 @@ impl<'a> Fused<'a> {
         for (g, mut row) in heads.into_iter().enumerate() {
             let (rows, build) = members.of(g);
             for (spec, chunk) in sink.specs.iter().zip(&typed) {
-                let col = match (spec.arg, chunk) {
-                    (Some(Slot::Probe(c)), Some(chunk)) => chunk.column(c),
-                    _ => None,
+                let (col, shown) = match (spec.arg, chunk) {
+                    (Some(Slot::Probe(c)), Some(chunk)) => (chunk.column(c), None),
+                    (Some(Slot::Masked(c, m)), Some(chunk)) => {
+                        (chunk.column(c), Some(&self.masks[m]))
+                    }
+                    _ => (None, None),
                 };
-                let value = match col.and_then(|col| eval_agg_columnar(spec.func, col, rows)) {
+                let kernel = |col| eval_agg_columnar(spec.func, col, shown, rows);
+                let value = match col.and_then(kernel) {
                     Some(v) => v,
                     None => {
                         let values = spec.arg.map(|s| {
@@ -1481,24 +1663,26 @@ impl GroupSlots {
 // Group evaluation
 // ---------------------------------------------------------------------
 
-/// Where an aggregate's cells are read from: the rows leaving the probe
-/// chain (source rows, or the rows a projection materialized) and the
-/// build side.
+/// Where a sink's cells are read from: the rows leaving the probe chain
+/// (source rows, or the rows a projection materialized), the build
+/// side, and the masks over source rows.
 #[derive(Clone, Copy)]
 struct Cells<'a> {
     probe: &'a [Vec<Value>],
     build: &'a [Vec<Value>],
+    masks: &'a [BoolMask],
 }
 
 impl<'a> Cells<'a> {
     /// Column `s` of probe row `p` joined to build row `b` (NULL for
-    /// left-join padding).
+    /// left-join padding and where a mask hides the cell).
     #[inline]
     fn get(&self, p: u32, b: u32, s: Slot) -> &'a Value {
         match s {
             Slot::Probe(c) => &self.probe[p as usize][c],
+            Slot::Masked(c, m) if self.masks[m].is_true(p as usize) => &self.probe[p as usize][c],
             Slot::Build(c) if b != NO_ROW => &self.build[b as usize][c],
-            Slot::Build(_) => &NULL,
+            Slot::Masked(..) | Slot::Build(_) => &NULL,
         }
     }
 
@@ -1683,19 +1867,20 @@ fn cmp_cells(data: &ColumnData, i: usize, j: usize) -> Ordering {
 }
 
 /// Vectorized aggregate over one group's members (source rows, in row
-/// order) of a typed column. Returns `None` when no kernel applies —
-/// the caller falls back to [`exec::eval_agg_values`], which also owns
-/// every error message — and otherwise replicates its semantics bit for
-/// bit: NULL skipping, row-order float accumulation, `checked_add`
-/// overflow with the same error, `Value`-equality distinctness,
-/// first-minimum/last-maximum selection (`Iterator::min`/`max`),
-/// empty-group `Null`.
+/// order) of a typed column, hidden where `shown` (a mask) is not TRUE.
+/// Returns `None` when no kernel applies — the caller falls back to
+/// [`exec::eval_agg_values`], which also owns every error message — and
+/// otherwise replicates its semantics bit for bit: NULL skipping,
+/// row-order float accumulation, `checked_add` overflow with the same
+/// error, `Value`-equality distinctness, first-minimum/last-maximum
+/// selection (`Iterator::min`/`max`), empty-group `Null`.
 fn eval_agg_columnar(
     func: AggFunc,
     col: &ChunkColumn,
+    shown: Option<&BoolMask>,
     members: &[u32],
 ) -> Option<Result<Value, QueryError>> {
-    let valid = |i: usize| !col.validity.is_null(i);
+    let valid = |i: usize| !col.validity.is_null(i) && shown.is_none_or(|m| m.is_true(i));
     let members = members.iter().map(|&i| i as usize);
     Some(match (func, &col.data) {
         (AggFunc::Count, _) => Ok(Value::Int(members.filter(|&i| valid(i)).count() as i64)),
@@ -1923,6 +2108,99 @@ mod tests {
     }
 
     #[test]
+    fn masked_projection_below_a_filter_stays_columnar() {
+        use bi_types::{Column, DataType, Date};
+        // The auditor's Doctor report with a date filter of its own:
+        // Aggregate ← Filter(Date) ← Project(every column, Doctor masked)
+        // ← Filter(Disease <> 'HIV') ← Scan. The mask projection is not
+        // the chain's last operator, yet nothing materializes: both
+        // filters are kernels over source rows and the group key reads
+        // the Doctor column's codes through the mask.
+        let schema = Arc::new(
+            Schema::new(vec![
+                Column::new("Patient", DataType::Text),
+                Column::new("Doctor", DataType::Text),
+                Column::new("Disease", DataType::Text),
+                Column::new("Date", DataType::Date),
+            ])
+            .unwrap(),
+        );
+        let shown = || col("Disease").ne(lit("HIV"));
+        let enforced = || {
+            let items = schema.columns().iter().map(|c| {
+                let e = match c.name.as_str() {
+                    "Doctor" => Expr::Func(
+                        Func::If,
+                        vec![shown(), col("Doctor"), Expr::Lit(Value::Null)],
+                    ),
+                    name => col(name),
+                };
+                (c.name.to_string(), e)
+            });
+            scan("T").filter(shown()).project(items.collect())
+        };
+        let day = |y, m, d| Value::Date(Date::new(y, m, d).unwrap());
+        let plan = enforced()
+            .filter(col("Date").ge(lit(day(2007, 1, 1))))
+            .aggregate(vec!["Doctor".into()], vec![AggItem::count_star("n")]);
+        let chain = decompose(&plan).unwrap();
+        let compiled = compile(&chain, Arc::clone(&schema), None).unwrap();
+        assert_eq!(compiled.stages.len(), 2);
+        assert!(
+            compiled
+                .stages
+                .iter()
+                .all(|s| matches!(s, Stage::Kernel(_))),
+            "both filters are kernels; the projection is slots"
+        );
+        assert!(!compiled.materializes());
+        assert_eq!(compiled.masks.len(), 1, "one mask, evaluated once");
+        let CompiledSink::Aggregate(agg) = &compiled.sink else {
+            panic!("aggregate sink expected");
+        };
+        assert_eq!(agg.keys, vec![Slot::Masked(1, 0)], "Doctor, masked");
+
+        let row = |p: &str, doc: &str, dis: &str, date: Value| {
+            vec![p.into(), doc.into(), dis.into(), date]
+        };
+        let table = Table::from_rows(
+            "T",
+            Arc::clone(&schema),
+            vec![
+                row("p1", "d1", "flu", day(2007, 3, 1)),
+                row("p2", "d2", "HIV", day(2007, 3, 1)),
+                row("p3", "d1", "asthma", day(2006, 3, 1)),
+                row("p4", "d2", "flu", day(2008, 3, 1)),
+            ],
+        )
+        .unwrap();
+        let cfg = ExecConfig::columnar();
+        let chunks = Chunks::convert(&table, None, &compiled, &cfg).unwrap();
+        assert!(chunks.coded, "the masked key slots rows by codes");
+        let fused = Fused::new(&table, None, &compiled, &chunks, "T".into())
+            .and_then(|f| f.run(&cfg))
+            .unwrap();
+        let mut cat = Catalog::new();
+        cat.add_table(table).unwrap();
+        let oracle = exec::execute(&plan, &cat).unwrap();
+        assert_eq!(fused.rows(), oracle.rows());
+        assert_eq!(fused.schema(), oracle.schema());
+
+        // A mask whose column a later projection drops is never
+        // evaluated, nor are its columns converted.
+        let pruned = enforced()
+            .project(vec![("Patient".into(), col("Patient"))])
+            .aggregate(vec!["Patient".into()], vec![AggItem::count_star("n")]);
+        let compiled = compile(&decompose(&pruned).unwrap(), schema, None).unwrap();
+        assert!(compiled.masks.is_empty());
+        assert_eq!(
+            compiled.kernel_cols,
+            vec![2],
+            "the restriction's Disease only"
+        );
+    }
+
+    #[test]
     fn join_aggregate_reads_keys_from_either_side() {
         use bi_types::{Column, DataType};
         let fact = Arc::new(
@@ -1968,7 +2246,7 @@ mod tests {
         );
         assert!(matches!(
             compile(&chain, fact, Some(&dim)),
-            Err(Counter::PipelineDeclineShape)
+            Err(Unfused::Decline(Counter::PipelineDeclineShape))
         ));
     }
 

@@ -10,6 +10,11 @@
 //!
 //! Masks are *type-preserving*: a masked column keeps its declared type
 //! (via `if(cond, col, NULL)`), so downstream aggregates still type-check.
+//! They also stay columnar: when `cond` compiles to a predicate kernel,
+//! the fused pipeline runs the mask projection as slots over source rows
+//! (each mask evaluated once per run, a hidden cell read as NULL), so a
+//! masked report keeps late materialization and the typed aggregate
+//! kernels.
 
 use bi_relation::expr::{col, Expr, Func};
 use bi_types::Value;

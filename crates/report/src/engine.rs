@@ -28,7 +28,7 @@ use bi_pla::{AnonMethod, CheckOutcome, CheckProgram, CombinedPolicy, Obligation}
 use bi_query::plan::{AggItem, Plan};
 use bi_query::rewrite::{MaskAction, ScanPolicy};
 use bi_query::{origins, Catalog, QueryError};
-use bi_relation::Table;
+use bi_relation::{RelationError, Table};
 use bi_types::{Column, DataType, Date, Schema, SourceId, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -456,7 +456,11 @@ fn regroup_generalized(
                             Value::Null => {}
                             Value::Int(i) => {
                                 any = true;
-                                int_sum += i;
+                                // The oracle's `sum` raises this error
+                                // rather than wrapping.
+                                int_sum = int_sum.checked_add(*i).ok_or(QueryError::Relation(
+                                    RelationError::Overflow { op: "sum" },
+                                ))?;
                                 float_sum += *i as f64;
                             }
                             Value::Float(f) => {
@@ -989,7 +993,7 @@ mod regroup_tests {
         )
     }
 
-    fn deliver(aggs: Vec<AggItem>) -> EnforcedReport {
+    fn render(cat: &Catalog, aggs: Vec<AggItem>) -> Result<EnforcedReport, ReportError> {
         let report = ReportSpec::new(
             "r",
             "r",
@@ -998,13 +1002,16 @@ mod regroup_tests {
         );
         render_enforced(
             &report,
-            &catalog(),
+            cat,
             &policy(),
             &BTreeMap::new(),
             &config(),
             Date::new(2008, 7, 1).unwrap(),
         )
-        .unwrap()
+    }
+
+    fn deliver(aggs: Vec<AggItem>) -> EnforcedReport {
+        render(&catalog(), aggs).unwrap()
     }
 
     #[test]
@@ -1036,6 +1043,39 @@ mod regroup_tests {
         assert_eq!(resp[1], Value::Int(3));
         assert_eq!(resp[2], Value::Int(40));
         assert!(out.applied.iter().any(|a| a.contains("re-merged")));
+    }
+
+    /// Two `i64::MAX` costs whose diseases generalize into one family:
+    /// re-merging their sums overflows, and the delivery fails with the
+    /// oracle's `sum` error instead of wrapping (or panicking).
+    #[test]
+    fn merged_sum_overflow_is_the_oracles_error() {
+        use bi_query::plan::AggFunc;
+        let mut cat = Catalog::new();
+        cat.add_table(
+            Table::from_rows(
+                "Fact",
+                Schema::new(vec![
+                    Column::new("Disease", DataType::Text),
+                    Column::new("Cost", DataType::Int),
+                ])
+                .unwrap(),
+                vec![
+                    vec!["HIV".into(), i64::MAX.into()],
+                    vec!["hepatitis".into(), i64::MAX.into()],
+                ],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let err = render(&cat, vec![AggItem::new("spend", AggFunc::Sum, "Cost")]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ReportError::Query(QueryError::Relation(RelationError::Overflow { op: "sum" }))
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

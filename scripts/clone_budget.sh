@@ -74,6 +74,12 @@ declare -A BUDGET=(
   # kernel column list the chunk conversion starts from, and two test
   # fixtures. Selection vectors, not rows, cross stages;
   # no per-row `Value` clone was added outside the emitted output.
+  # Still 16 after mask projections became slots: two compile-time
+  # copies of a mask condition came in (composing a masked column into
+  # an expression above it, and AND-ing the conditions of a column
+  # masked twice), and two per-cell sites in the emit paths went out —
+  # every sink now reads a cell, masked, padded or plain, through one
+  # accessor. Masked cells are never materialized between stages.
   [crates/query/src/pipeline.rs]=16
   [crates/anonymize/src/kanon.rs]=7
   [crates/anonymize/src/mondrian.rs]=6

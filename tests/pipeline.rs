@@ -13,12 +13,15 @@
 //! pin the aggregate sink's edge cases, and pin that PLA `FilterRows`
 //! obligations and the PLA-rewritten star-join report over a synthesized
 //! scenario actually execute through a fused pipeline rather than
-//! quietly falling back.
+//! quietly falling back. Projections include enforcement's column masks
+//! `if(p, col, NULL)` (and `if(false, col, NULL)`), which the pipeline
+//! runs as masked slots; an auditor's masked Doctor reports pin the same
+//! end to end.
 
 use plabi::exec::{ExecConfig, Obs};
 use plabi::prelude::*;
 use plabi::query::{execute, execute_with, QueryError};
-use plabi::relation::expr::{col, lit, Expr};
+use plabi::relation::expr::{col, lit, Expr, Func};
 use plabi::relation::BinOp;
 use plabi::types::{Column, DataType, Schema};
 use proptest::prelude::*;
@@ -86,10 +89,14 @@ fn mixed_catalog(rows: &[MixedRow]) -> Catalog {
 /// Random predicates over the mixed table: typed comparisons (incl.
 /// Int-vs-Float cross-type), dictionary text compares, Date ordering,
 /// IS NULL, IN lists, BETWEEN, and Kleene AND/OR/NOT over all of it.
-/// Some leaves compile to columnar kernels, some only to the VM, so the
-/// fused chains exercise both stage kinds and the mixed case.
+/// Some leaves compile to columnar kernels, some only to the VM (an
+/// integer division, which fails on a zero divisor), so the fused chains
+/// exercise both stage kinds and the mixed case.
 fn predicate() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
+        (0i64..4).prop_map(|n| {
+            Expr::Bin(BinOp::Div, Box::new(col("Age")), Box::new(lit(n))).ge(lit(1))
+        }),
         (-40i64..40).prop_map(|n| col("Age").ge(lit(n))),
         (-40i64..40).prop_map(|n| col("Age").eq(lit(n))),
         (-120i64..120).prop_map(|n| col("Score").lt(lit(n as f64 / 4.0))),
@@ -121,11 +128,50 @@ fn predicate() -> impl Strategy<Value = Expr> {
     })
 }
 
+/// `col`, shown only where `p` is TRUE: enforcement's column mask.
+fn mask(p: Expr, column: &str) -> Expr {
+    Expr::Func(Func::If, vec![p, col(column), Expr::Lit(Value::Null)])
+}
+
+/// One projected column: bare, masked by a random predicate (a kernel
+/// or a VM-only condition), or nullified as `if(false, col, NULL)`.
+fn maybe_masked(column: &'static str) -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        Just(col(column)),
+        Just(col(column)),
+        predicate().prop_map(move |p| mask(p, column)),
+        predicate().prop_map(move |p| mask(p, column)),
+        Just(mask(lit(false), column)),
+    ]
+}
+
+/// Enforcement's projection shape: every column, some of them masked.
+fn masked_projection() -> impl Strategy<Value = Vec<(String, Expr)>> {
+    (
+        maybe_masked("Age"),
+        maybe_masked("Ward"),
+        maybe_masked("Admitted"),
+    )
+        .prop_map(|(age, ward, admitted)| {
+            vec![
+                ("Age".to_string(), age),
+                ("Score".to_string(), col("Score")),
+                ("Ward".to_string(), ward),
+                ("Admitted".to_string(), admitted),
+                ("Chronic".to_string(), col("Chronic")),
+            ]
+        })
+}
+
 /// A projection that keeps the column names downstream operators use.
-/// Identity columns keep late materialization honest; the computed
-/// variant forces every following stage onto the VM path.
+/// Identity columns keep late materialization honest; masked columns
+/// (half the draws) stay slots over source rows while their conditions
+/// are kernels; the computed variant forces every following stage onto
+/// the VM path.
 fn projection() -> impl Strategy<Value = Vec<(String, Expr)>> {
     prop_oneof![
+        masked_projection(),
+        masked_projection(),
         Just(vec![
             ("Age".to_string(), col("Age")),
             ("Score".to_string(), col("Score")),
@@ -1007,6 +1053,144 @@ fn pla_obligations_execute_through_fused_pipeline() {
             None,
             "threads {threads}: enforcement render must not need the error fallback"
         );
+    }
+}
+
+/// The paper's intensional attribute rule, end to end: an auditor sees
+/// `FactPrescriptions.Doctor` only on prescriptions from 2007 on, a
+/// condition the row restriction (`Disease <> 'HIV'`) does not imply, so
+/// enforcement's `if(Date >= 2007-01-01, Doctor, NULL)` mask really hides
+/// cells and a NULL Doctor group appears. The auditor's Doctor reports —
+/// a grouped count, the same behind a date filter of the report's own
+/// (above the mask), and a top-k — render through a fused pipeline,
+/// byte-identical to the serial render at every thread count, without
+/// the error fallback.
+#[test]
+fn masked_reports_execute_through_fused_pipeline() {
+    let scenario = Scenario::generate(ScenarioConfig {
+        patients: 40,
+        prescriptions: 600,
+        lab_tests: 20,
+        ..Default::default()
+    });
+    let mut sys = BiSystem::new(Date::new(2008, 7, 1).unwrap());
+    for (sid, cat) in &scenario.sources {
+        sys.register_source(sid.clone(), cat.clone());
+    }
+    let day = |y, m, d| lit(Value::Date(Date::new(y, m, d).unwrap()));
+    sys.add_pla(
+        PlaDocument::new("vpd", "hospital", PlaLevel::Source)
+            .with_rule(PlaRule::RowRestriction {
+                table: "FactPrescriptions".into(),
+                condition: col("Disease").ne(lit("HIV")),
+            })
+            .with_rule(PlaRule::AttributeAccess {
+                attribute: AttrRef::new("FactPrescriptions", "Doctor"),
+                allowed_roles: [RoleId::new("auditor")].into(),
+                condition: Some(col("Date").ge(day(2007, 1, 1))),
+            })
+            .with_rule(PlaRule::AggregationThreshold {
+                table: "FactPrescriptions".into(),
+                min_group_size: 2,
+            }),
+    );
+    let pipeline = Pipeline::new("nightly")
+        .step(
+            "e",
+            EtlOp::Extract {
+                source: "hospital".into(),
+                table: "Prescriptions".into(),
+                as_name: "s".into(),
+            },
+        )
+        .step(
+            "l",
+            EtlOp::Load {
+                table: "s".into(),
+                warehouse_table: "FactPrescriptions".into(),
+            },
+        );
+    sys.run_etl(&pipeline, None).unwrap();
+    sys.add_meta_report(
+        MetaReport::new(
+            "m",
+            "Prescription universe",
+            scan("FactPrescriptions")
+                .project_cols(&["Patient", "Doctor", "Drug", "Disease", "Date"]),
+        )
+        .approved("hospital"),
+    );
+    let by_doctor =
+        |plan: Plan| plan.aggregate(vec!["Doctor".into()], vec![AggItem::count_star("N")]);
+    let reports = [
+        ("agg", by_doctor(scan("FactPrescriptions"))),
+        (
+            "filter_agg",
+            by_doctor(scan("FactPrescriptions").filter(col("Date").ge(day(2006, 7, 1)))),
+        ),
+        (
+            "topk",
+            by_doctor(scan("FactPrescriptions"))
+                .sort(vec![SortKey::desc("N")])
+                .limit(4),
+        ),
+    ];
+    for (id, plan) in &reports {
+        sys.define_report(ReportSpec::new(
+            *id,
+            "Prescriptions by doctor",
+            plan.clone(),
+            [RoleId::new("auditor")],
+        ));
+    }
+    sys.subjects_mut().grant("carol@agency", "auditor");
+    let deliver = |sys: &mut BiSystem, id: &str| {
+        sys.deliver(&ReportId::new(id), &ConsumerId::new("carol@agency"))
+            .unwrap()
+            .table
+    };
+
+    for (id, _) in &reports {
+        // Serial operator-at-a-time reference render.
+        sys.engine_mut().exec = ExecConfig::with_threads(1);
+        let reference = deliver(&mut sys, id);
+        if *id == "agg" {
+            assert!(
+                reference.rows().iter().any(|r| r[0].is_null()),
+                "the mask must hide some Doctor cells: {:?}",
+                reference.rows()
+            );
+        }
+        for threads in THREADS {
+            let obs = Obs::enabled();
+            sys.engine_mut().exec = pipeline_cfg(threads).with_obs(obs.clone());
+            let delivered = deliver(&mut sys, id);
+            assert_eq!(
+                reference.rows(),
+                delivered.rows(),
+                "{id}, threads: {threads}"
+            );
+            assert_eq!(
+                reference.schema(),
+                delivered.schema(),
+                "{id}, threads: {threads}"
+            );
+            let snap = obs.snapshot();
+            assert!(
+                snap.counters
+                    .get("plan.choice.pipeline")
+                    .copied()
+                    .unwrap_or(0)
+                    >= 1,
+                "{id}, threads {threads}: the masked chain must fuse, got {:?}",
+                snap.counters
+            );
+            assert_eq!(
+                snap.counters.get("pipeline.fallback.error"),
+                None,
+                "{id}, threads {threads}: a masked render must not need the error fallback"
+            );
+        }
     }
 }
 
