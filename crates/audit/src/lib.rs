@@ -30,6 +30,7 @@ pub use dispute::{exposures_of_attribute, responsible_deliveries, Exposure};
 pub use log::{AuditEntry, AuditLog, Outcome, Provenance};
 pub use monitor::{monitor, Alert, MonitorConfig};
 pub use recheck::{
-    catalog_at_versions, recheck_log, recheck_log_at_versions, recheck_log_with_snapshots,
-    AuditFinding, SnapshotFidelity, VersionResolver,
+    catalog_at_versions, conditions_at_delivery, recheck_log, recheck_log_at_versions,
+    recheck_log_with_snapshots, AtDelivery, AuditFinding, DeliveryConditions, SnapshotFidelity,
+    VersionResolver,
 };

@@ -25,7 +25,7 @@ use bi_query::{Catalog, Plan, QueryError};
 use bi_relation::Table;
 use bi_types::SourceId;
 
-use crate::log::AuditLog;
+use crate::log::{AuditEntry, AuditLog};
 
 /// How faithfully a recheck reproduced one side (policy or data) of the
 /// conditions that served a delivery.
@@ -143,13 +143,125 @@ pub fn catalog_at_versions(
 /// its sorted `(table, data version)` pairs.
 type ConditionsKey<'e> = (u64, &'e [(String, u64)]);
 
-/// The shared half of rechecking every entry journaled under one
-/// [`ConditionsKey`]: the overlay catalog, its data fidelity, and each
-/// distinct plan's compiled check.
+/// What every entry journaled under one [`ConditionsKey`] shares: the
+/// overlay catalog, its data fidelity, and each distinct plan's
+/// compiled check (or its compile error).
 struct Conditions<'e> {
     catalog: Option<Catalog>,
     data_snapshot: SnapshotFidelity,
-    programs: Vec<(&'e Plan, CheckProgram)>,
+    programs: Vec<(&'e Plan, Result<CheckProgram, QueryError>)>,
+}
+
+/// The conditions that served every delivered journal entry, rebuilt
+/// by [`conditions_at_delivery`]. [`DeliveryConditions::iter`] walks
+/// the entries in journal order.
+pub struct DeliveryConditions<'e> {
+    live: &'e Catalog,
+    groups: Vec<Conditions<'e>>,
+    /// Per delivered entry: the entry, its policy fidelity, and the
+    /// indices of its group and of its plan's program in that group.
+    entries: Vec<(&'e AuditEntry, SnapshotFidelity, usize, usize)>,
+}
+
+/// One delivered journal entry with the conditions that served it.
+#[derive(Debug)]
+pub struct AtDelivery<'a> {
+    pub entry: &'a AuditEntry,
+    /// The catalog at the entry's data versions: an overlay, or the
+    /// live catalog when that already serves them.
+    pub catalog: &'a Catalog,
+    /// The entry's plan compiled against its policy and catalog, or the
+    /// compile error that entry would raise on its own.
+    pub program: Result<&'a CheckProgram, &'a QueryError>,
+    /// Whether the policy was the journaled epoch's snapshot.
+    pub policy_snapshot: SnapshotFidelity,
+    /// Whether every source table resolved at its journaled version.
+    pub data_snapshot: SnapshotFidelity,
+}
+
+impl DeliveryConditions<'_> {
+    /// The delivered entries with their conditions, in journal order.
+    pub fn iter(&self) -> impl Iterator<Item = AtDelivery<'_>> {
+        self.entries
+            .iter()
+            .map(|&(entry, policy_snapshot, group, program)| {
+                let group = &self.groups[group];
+                AtDelivery {
+                    entry,
+                    catalog: group.catalog.as_ref().unwrap_or(self.live),
+                    program: group.programs[program].1.as_ref(),
+                    policy_snapshot,
+                    data_snapshot: group.data_snapshot,
+                }
+            })
+    }
+}
+
+/// Rebuilds, for every delivered journal entry, the conditions that
+/// served it: the policy epoch's snapshot (or `current`, flagged
+/// [`SnapshotFidelity::FellBackToCurrent`]), the catalog at its data
+/// versions ([`catalog_at_versions`] over `resolve`), and its plan's
+/// compiled [`CheckProgram`].
+///
+/// The one time-travel pass behind [`recheck_log_at_versions`] and the
+/// engine's full replay. Entries journaled under the same policy epoch
+/// and data versions share one overlay catalog (one resolver call per
+/// table), and each distinct plan among them compiles once. A compile
+/// error is kept for every entry it concerns, so a caller that walks
+/// the entries in order meets each entry's error where checking that
+/// entry on its own would.
+pub fn conditions_at_delivery<'e>(
+    log: &'e AuditLog,
+    cat: &'e Catalog,
+    current: &CombinedPolicy,
+    snapshots: &BTreeMap<u64, Arc<CombinedPolicy>>,
+    table_source: &BTreeMap<String, SourceId>,
+    resolve: &VersionResolver<'_>,
+) -> DeliveryConditions<'e> {
+    let mut index: HashMap<ConditionsKey<'e>, usize> = HashMap::new();
+    let mut groups: Vec<Conditions<'e>> = Vec::new();
+    let mut entries = Vec::new();
+    for e in log.deliveries() {
+        let (policy, policy_snapshot) = match snapshots.get(&e.provenance.policy_epoch) {
+            Some(p) => (&**p, SnapshotFidelity::Exact),
+            None => (current, SnapshotFidelity::FellBackToCurrent),
+        };
+        let versions = &e.provenance.source_versions[..];
+        let g = *index
+            .entry((e.provenance.policy_epoch, versions))
+            .or_insert_with(|| {
+                let (catalog, data_snapshot) = catalog_at_versions(cat, versions, resolve);
+                groups.push(Conditions {
+                    catalog,
+                    data_snapshot,
+                    programs: Vec::new(),
+                });
+                groups.len() - 1
+            });
+        let group = &mut groups[g];
+        let plan: &Plan = &e.plan;
+        // Entries served by one render share their plan, so pointer
+        // equality settles most lookups before a structural compare.
+        let p = match group
+            .programs
+            .iter()
+            .position(|(p, _)| std::ptr::eq(*p, plan) || **p == *plan)
+        {
+            Some(p) => p,
+            None => {
+                let entry_cat = group.catalog.as_ref().unwrap_or(cat);
+                let program = CheckProgram::compile(plan, entry_cat, policy, table_source);
+                group.programs.push((plan, program));
+                group.programs.len() - 1
+            }
+        };
+        entries.push((e, policy_snapshot, g, p));
+    }
+    DeliveryConditions {
+        live: cat,
+        groups,
+        entries,
+    }
 }
 
 /// Replays all deliveries against the policy epoch *and the data
@@ -163,12 +275,12 @@ struct Conditions<'e> {
 /// entries journaled without versions) fall back to current data,
 /// flagged on the finding's `data_snapshot`.
 ///
-/// Entries journaled under the same policy epoch and data versions
-/// share one overlay catalog (one resolver call per table), and each
-/// distinct plan among them compiles its [`CheckProgram`] once; the
-/// program still runs per entry, with that entry's roles, purpose and
-/// date. Nothing is kept between calls. Findings, and the first error,
-/// are those of checking every entry on its own in journal order.
+/// One [`conditions_at_delivery`] pass rebuilds each entry's
+/// conditions (one overlay per policy epoch and data versions, one
+/// compile per distinct plan among them); each entry's program then
+/// runs with that entry's roles, purpose and date. Nothing is kept
+/// between calls. Findings, and the first error, are those of checking
+/// every entry on its own in journal order.
 pub fn recheck_log_at_versions(
     log: &AuditLog,
     cat: &Catalog,
@@ -177,43 +289,12 @@ pub fn recheck_log_at_versions(
     table_source: &BTreeMap<String, SourceId>,
     resolve: &VersionResolver<'_>,
 ) -> Result<Vec<AuditFinding>, QueryError> {
-    let mut groups: HashMap<ConditionsKey<'_>, Conditions<'_>> = HashMap::new();
+    let conditions = conditions_at_delivery(log, cat, current, snapshots, table_source, resolve);
     let mut findings = Vec::new();
-    for e in log.deliveries() {
-        let (policy, policy_snapshot) = match snapshots.get(&e.provenance.policy_epoch) {
-            Some(p) => (&**p, SnapshotFidelity::Exact),
-            None => (current, SnapshotFidelity::FellBackToCurrent),
-        };
-        let versions = &e.provenance.source_versions[..];
-        let group = groups
-            .entry((e.provenance.policy_epoch, versions))
-            .or_insert_with(|| {
-                let (catalog, data_snapshot) = catalog_at_versions(cat, versions, resolve);
-                Conditions {
-                    catalog,
-                    data_snapshot,
-                    programs: Vec::new(),
-                }
-            });
-        let plan: &Plan = &e.plan;
-        // Entries served by one render share their plan, so pointer
-        // equality settles most lookups before a structural compare.
-        let at = match group
-            .programs
-            .iter()
-            .position(|(p, _)| std::ptr::eq(*p, plan) || **p == *plan)
-        {
-            Some(at) => at,
-            None => {
-                let entry_cat = group.catalog.as_ref().unwrap_or(cat);
-                let program = CheckProgram::compile(plan, entry_cat, policy, table_source)?;
-                group.programs.push((plan, program));
-                group.programs.len() - 1
-            }
-        };
-        let outcome = group.programs[at]
-            .1
-            .run(&e.roles, e.purpose.as_deref(), e.when)?;
+    for at in conditions.iter() {
+        let e = at.entry;
+        let program = at.program.map_err(QueryError::clone)?;
+        let outcome = program.run(&e.roles, e.purpose.as_deref(), e.when)?;
         if !outcome.violations.is_empty() {
             findings.push(AuditFinding {
                 seq: e.seq,
@@ -221,8 +302,8 @@ pub fn recheck_log_at_versions(
                 trace: e.provenance.trace,
                 policy_epoch: e.provenance.policy_epoch,
                 violations: outcome.violations,
-                policy_snapshot,
-                data_snapshot: group.data_snapshot,
+                policy_snapshot: at.policy_snapshot,
+                data_snapshot: at.data_snapshot,
             });
         }
     }

@@ -8,19 +8,32 @@
 //! several table sizes, all on a single thread so the speedup is purely
 //! algorithmic. Verifies the columnar output is *identical* to the
 //! row-engine one and writes `BENCH_columnar.json` for
-//! `scripts/bench_smoke.sh`.
+//! `scripts/bench_smoke.sh`. Each columnar timing is taken in several
+//! rounds, each followed by the host-speed [`Control`]; the op records
+//! the median of both, so the smoke's obs-disabled gate can compare
+//! `columnar_ms / control_ms` across runs and hosts.
 //!
 //! Usage: `cargo run --release -p bi-bench --bin bench_columnar --
 //! [--full] [--out PATH]`. `--full` adds a 1M-row size.
 
 use std::time::Instant;
 
+use bi_bench::{median, Control};
 use bi_core::exec::ExecConfig;
 use bi_core::query::plan::{scan, AggItem};
 use bi_core::query::{execute_with, Catalog};
 use bi_core::relation::expr::{col, lit};
 use bi_core::relation::Table;
 use bi_core::types::{Column, DataType, Schema, Value};
+
+/// Control passes after each columnar round; the median is that
+/// round's control time.
+const CONTROL_SAMPLES: usize = 20;
+
+/// Columnar rounds per op. The recorded `columnar_ms` and `control_ms`
+/// are medians over rounds, so one round disturbed by a neighbour on a
+/// shared host does not move the obs gate's ratio.
+const ROUNDS: usize = 5;
 
 /// Fact(K, G, V) with NULLs sprinkled in, plus DimG(G, W) keyed by the
 /// low-cardinality text column so the join exercises dictionary codes.
@@ -120,6 +133,7 @@ fn main() {
         ("aggregate", &agg_plan),
     ];
 
+    let mut control = Control::new();
     let mut size_entries = Vec::new();
     for &rows in sizes {
         let cat = catalog(rows);
@@ -127,7 +141,14 @@ fn main() {
         let mut op_entries = Vec::new();
         for (name, plan) in ops {
             let (r_ms, r_out) = time_plan(plan, &cat, &row_cfg, iters);
-            let (c_ms, c_out) = time_plan(plan, &cat, &col_cfg, iters);
+            let (first_ms, c_out) = time_plan(plan, &cat, &col_cfg, iters);
+            let mut c_times = vec![first_ms];
+            let mut controls = vec![control.median_ms(CONTROL_SAMPLES)];
+            for _ in 1..ROUNDS {
+                c_times.push(time_plan(plan, &cat, &col_cfg, iters).0);
+                controls.push(control.median_ms(CONTROL_SAMPLES));
+            }
+            let (c_ms, control_ms) = (median(&mut c_times), median(&mut controls));
             assert_eq!(r_out.rows(), c_out.rows(), "{name}@{rows}: outputs diverge");
             assert_eq!(r_out.name(), c_out.name(), "{name}@{rows}: names diverge");
             assert_eq!(
@@ -136,11 +157,12 @@ fn main() {
                 "{name}@{rows}: schemas diverge"
             );
             eprintln!(
-                "{rows:>8} rows  {name:<9} row {r_ms:8.2} ms  columnar {c_ms:8.2} ms  x{:.2}",
+                "{rows:>8} rows  {name:<9} row {r_ms:8.2} ms  columnar {c_ms:8.2} ms  x{:.2}  \
+                 control {control_ms:.3} ms",
                 r_ms / c_ms
             );
             op_entries.push(format!(
-                r#"{{"op":"{name}","row_ms":{r_ms:.3},"columnar_ms":{c_ms:.3},"speedup":{:.3}}}"#,
+                r#"{{"op":"{name}","row_ms":{r_ms:.3},"columnar_ms":{c_ms:.3},"speedup":{:.3},"control_ms":{control_ms:.4}}}"#,
                 r_ms / c_ms
             ));
         }

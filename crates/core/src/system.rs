@@ -1065,27 +1065,28 @@ impl BiSystem {
     /// ([`bi_audit::SnapshotFidelity::FellBackToCurrent`]).
     pub fn recheck_at_delivery(&self) -> Result<Vec<bi_audit::AuditFinding>, SystemError> {
         let _span = self.engine.exec.obs.span(SpanKind::AuditRecheck);
-        let current = self.policy();
-        let snapshots = self.policy_snapshots();
-        let obs = &self.engine.exec.obs;
-        let resolve = |name: &str, version: u64| {
-            let hit = self.warehouse.table_at(name, version).cloned();
-            obs.count(if hit.is_some() {
-                Counter::MvccResolveExact
-            } else {
-                Counter::MvccResolveFallback
-            });
-            hit
-        };
         bi_audit::recheck_log_at_versions(
             &self.log,
             self.warehouse.catalog(),
-            &current,
-            &snapshots,
+            &self.policy(),
+            &self.policy_snapshots(),
             &self.table_source,
-            &resolve,
+            &|name, version| self.table_at(name, version),
         )
         .map_err(SystemError::from)
+    }
+
+    /// The rows `name` held at data `version`, from the warehouse's
+    /// MVCC history: the time-travel resolver of both audit replays,
+    /// counted on `mvcc.resolve.{exact,fallback}`.
+    fn table_at(&self, name: &str, version: u64) -> Option<bi_relation::Table> {
+        let hit = self.warehouse.table_at(name, version).cloned();
+        self.engine.exec.obs.count(if hit.is_some() {
+            Counter::MvccResolveExact
+        } else {
+            Counter::MvccResolveFallback
+        });
+        hit
     }
 
     /// Full audit replay: re-runs the gate AND the render of every
@@ -1096,41 +1097,33 @@ impl BiSystem {
     /// the strongest enforcement-bug signal the audit layer offers;
     /// on a flagged fallback it may just mean the snapshots aged out.
     ///
-    /// Replays are independent, so they fan out on the engine's
-    /// [`ExecConfig`](bi_exec::ExecConfig); results come back in journal
-    /// order regardless of thread count.
+    /// The serving conditions come from the same grouped pass as
+    /// [`BiSystem::recheck_at_delivery`]'s
+    /// ([`bi_audit::conditions_at_delivery`]): one overlay catalog per
+    /// (policy epoch, data versions) group, one check compile per
+    /// distinct plan in it. The runs and renders are independent, so
+    /// they fan out on the engine's [`ExecConfig`](bi_exec::ExecConfig);
+    /// results, and the first error, come back in journal order
+    /// regardless of thread count.
     pub fn replay_at_delivery(&self) -> Result<Vec<ReplayedDelivery>, SystemError> {
-        let obs = self.engine.exec.obs.clone();
-        let _span = obs.span(SpanKind::AuditReplay);
-        let current = self.policy();
-        let snapshots = self.policy_snapshots();
-        let cat = self.warehouse.catalog();
-        let cfg = self.engine.exec.clone();
-        let entries: Vec<&bi_audit::AuditEntry> = self.log.deliveries().collect();
+        let _span = self.engine.exec.obs.span(SpanKind::AuditReplay);
+        let conditions = bi_audit::conditions_at_delivery(
+            &self.log,
+            self.warehouse.catalog(),
+            &self.policy(),
+            &self.policy_snapshots(),
+            &self.table_source,
+            &|name, version| self.table_at(name, version),
+        );
+        let entries: Vec<bi_audit::AtDelivery<'_>> = conditions.iter().collect();
         let replayed: Vec<Result<ReplayedDelivery, SystemError>> =
-            bi_exec::par_map(&cfg, &entries, |e| {
-                let (policy, policy_snapshot) = match snapshots.get(&e.provenance.policy_epoch) {
-                    Some(p) => (&**p, SnapshotFidelity::Exact),
-                    None => (&*current, SnapshotFidelity::FellBackToCurrent),
-                };
-                let resolve = |name: &str, version: u64| {
-                    let hit = self.warehouse.table_at(name, version).cloned();
-                    obs.count(if hit.is_some() {
-                        Counter::MvccResolveExact
-                    } else {
-                        Counter::MvccResolveFallback
-                    });
-                    hit
-                };
-                let (versioned, data_snapshot) =
-                    bi_audit::catalog_at_versions(cat, &e.provenance.source_versions, &resolve);
-                let entry_cat = versioned.as_ref().unwrap_or(cat);
+            bi_exec::par_map(&self.engine.exec, &entries, |at| {
+                let e = at.entry;
                 // Rebuild the serving conditions from the journal alone:
                 // the exact plan, the journaled effective roles as the
                 // distribution list, the journaled purpose and date.
-                let outcome = CheckProgram::compile(&e.plan, entry_cat, policy, &self.table_source)
-                    .and_then(|p| p.run(&e.roles, e.purpose.as_deref(), e.when))
-                    .map_err(SystemError::from)?;
+                let program = at.program.map_err(bi_query::QueryError::clone)?;
+                let outcome = program.run(&e.roles, e.purpose.as_deref(), e.when)?;
                 let mut spec = ReportSpec::new(
                     e.report.clone(),
                     "",
@@ -1142,7 +1135,7 @@ impl BiSystem {
                 }
                 let rendered = RenderOutcome::from_result(render_checked(
                     &spec,
-                    entry_cat,
+                    at.catalog,
                     outcome,
                     &self.engine,
                 ))
@@ -1164,8 +1157,8 @@ impl BiSystem {
                     report: e.report.clone(),
                     outcome: rendered,
                     matches_journal,
-                    policy_snapshot,
-                    data_snapshot,
+                    policy_snapshot: at.policy_snapshot,
+                    data_snapshot: at.data_snapshot,
                 })
             });
         replayed.into_iter().collect()

@@ -130,11 +130,8 @@ impl ExecConfig {
     /// One worker per available core (falls back to serial when the
     /// parallelism cannot be determined).
     pub fn auto() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         ExecConfig {
-            threads,
+            threads: effective_parallelism(),
             ..Self::serial()
         }
     }

@@ -17,6 +17,10 @@
 //! * [`contain`] — conservative derivability: can a report be computed as
 //!   a subset/view of a meta-report (paper §5)? Returns an executable
 //!   [`contain::Derivation`] rewrite as the proof.
+//!
+//! Plans execute as written; there is no optimizer pass. Enforcement's
+//! rewrites already put row restrictions at the scans, and the fused
+//! [`pipeline`] evaluates only the masks its sinks read.
 
 // Panics are not an acceptable failure mode on the delivery path: every
 // lookup either has a typed error or degrades (e.g. columnar → row
@@ -28,7 +32,6 @@ pub mod contain;
 pub mod error;
 pub mod exec;
 pub mod explain;
-pub mod optimize;
 pub mod origins;
 pub mod pipeline;
 pub mod plan;
@@ -38,6 +41,5 @@ pub use catalog::Catalog;
 pub use error::QueryError;
 pub use exec::{execute, execute_with};
 pub use explain::explain;
-pub use optimize::optimize;
 pub use origins::{source_versions, ColumnOrigins, Origin};
 pub use plan::{AggFunc, AggItem, JoinKind, Plan, SortKey};

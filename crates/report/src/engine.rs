@@ -25,10 +25,10 @@ use std::sync::Arc;
 use bi_anonymize::{Hierarchy, Pseudonymizer};
 use bi_exec::ExecConfig;
 use bi_pla::{AnonMethod, CheckOutcome, CheckProgram, CombinedPolicy, Obligation};
-use bi_query::plan::{AggItem, Plan};
+use bi_query::plan::{scan, AggFunc, AggItem, Plan};
 use bi_query::rewrite::{MaskAction, ScanPolicy};
 use bi_query::{origins, Catalog, QueryError};
-use bi_relation::{RelationError, Table};
+use bi_relation::Table;
 use bi_types::{Column, DataType, Date, Schema, SourceId, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -219,28 +219,27 @@ pub fn render_checked(
     }
 
     // 2. Augment the plan with the k-guard if required.
-    let (plan, guarded) = if k_required > 1 {
-        match augment_with_guard(&report.plan) {
-            Some(p) => (p, true),
-            None => {
-                return Err(ReportError::Query(QueryError::BadAggregate {
-                    reason: "cannot enforce a group-size threshold on this plan shape".into(),
-                }))
-            }
-        }
+    let guarded = if k_required > 1 {
+        let augmented = augment_with_guard(&report.plan).ok_or_else(|| {
+            ReportError::Query(QueryError::BadAggregate {
+                reason: "cannot enforce a group-size threshold on this plan shape".into(),
+            })
+        })?;
+        Some(augmented)
     } else {
-        (report.plan.clone(), false)
+        None
     };
 
     // 3. Rewrite and execute.
     let policies: Vec<ScanPolicy> = scan_policies.into_values().collect();
-    let rewritten = bi_query::rewrite::apply(&plan, &policies, cat)?;
+    let plan = guarded.as_ref().unwrap_or(&report.plan);
+    let rewritten = bi_query::rewrite::apply(plan, &policies, cat)?;
     let mut table = bi_query::execute_with(&rewritten, cat, &config.exec)?;
 
     // 4. Apply the k-threshold (optionally with the differencing guard)
     //    and drop the guard column.
     let mut suppressed_groups = 0usize;
-    if guarded {
+    if guarded.is_some() {
         // The differencing guard needs a sibling axis: the finest group
         // column of the topmost aggregate, if it survived to the output.
         // The aggregate's measure outputs must not be part of the
@@ -321,7 +320,8 @@ pub fn render_checked(
     //    groups coincide; left as-is their multiplicities leak the finer
     //    grain. Re-merge such groups when the aggregates permit it.
     if !generalized_cols.is_empty() {
-        if let Some((merged, note)) = regroup_generalized(&table, &report.plan, &generalized_cols)?
+        if let Some((merged, note)) =
+            regroup_generalized(&table, &report.plan, &generalized_cols, &config.exec)?
         {
             table = merged;
             applied.push(note);
@@ -400,15 +400,21 @@ fn augment_with_guard(plan: &Plan) -> Option<Plan> {
 ///
 /// Applies only when the delivered schema is exactly the topmost
 /// aggregate's outputs (group columns + aggregate columns, un-renamed)
-/// and every aggregate is mergeable: Count/Sum re-sum, Min/Max re-min /
-/// re-max. Avg and CountDistinct cannot be merged from their own
-/// outputs; in that case the table is left as-is (the duplicated
+/// and every aggregate is mergeable from its own output: Count/Sum
+/// re-sum, Min/Max re-min / re-max. Avg and CountDistinct cannot be
+/// merged that way, nor can a count or sum that anonymization turned
+/// into text; in that case the table is left as-is (the duplicated
 /// generalized labels are visible but each row still satisfies its own
-/// k-threshold). Returns `None` when no re-grouping applies.
+/// k-threshold). The merge is a `Plan::Aggregate` over the delivered
+/// table on the configured engine, so NULL handling, int/float
+/// promotion and sum overflow are the query engine's; it runs only when
+/// some groups coincided. Returns `None` when no re-grouping applies or
+/// nothing coincided.
 fn regroup_generalized(
     table: &Table,
     plan: &Plan,
     generalized: &[String],
+    exec: &ExecConfig,
 ) -> Result<Option<(Table, String)>, ReportError> {
     let Some((group_by, aggs)) = topmost_aggregate(plan) else {
         return Ok(None);
@@ -425,84 +431,41 @@ fn regroup_generalized(
     if table.schema().names() != expected {
         return Ok(None);
     }
-    if aggs.iter().any(|a| {
-        matches!(
-            a.func,
-            bi_query::AggFunc::Avg | bi_query::AggFunc::CountDistinct
-        )
-    }) {
-        return Ok(None);
+    let measures = &table.schema().columns()[group_by.len()..];
+    let mut merge = Vec::with_capacity(aggs.len());
+    for (a, measure) in aggs.iter().zip(measures) {
+        let func = match a.func {
+            AggFunc::Count | AggFunc::Sum
+                if matches!(measure.dtype, DataType::Int | DataType::Float) =>
+            {
+                AggFunc::Sum
+            }
+            AggFunc::Min | AggFunc::Max => a.func,
+            _ => return Ok(None),
+        };
+        merge.push(AggItem::new(a.name.as_str(), func, a.name.as_str()));
     }
-
     let keys: Vec<&str> = group_by.iter().map(String::as_str).collect();
-    let groups = table.group_indices(&keys)?;
-    if groups.len() == table.len() {
+    if table.group_indices(&keys)?.len() == table.len() {
         return Ok(None); // nothing coincided
     }
-    let mut out = Table::new(table.name().to_string(), table.schema().clone());
-    let base = group_by.len();
-    for (key, rows) in groups {
-        let mut row: Vec<Value> = key.into_iter().cloned().collect();
-        for (ai, a) in aggs.iter().enumerate() {
-            let cells = rows.iter().map(|&r| &table.rows()[r][base + ai]);
-            let merged = match a.func {
-                bi_query::AggFunc::Count | bi_query::AggFunc::Sum => {
-                    let mut int_sum = 0i64;
-                    let mut float_sum = 0.0f64;
-                    let mut any = false;
-                    let mut is_float = false;
-                    for v in cells {
-                        match v {
-                            Value::Null => {}
-                            Value::Int(i) => {
-                                any = true;
-                                // The oracle's `sum` raises this error
-                                // rather than wrapping.
-                                int_sum = int_sum.checked_add(*i).ok_or(QueryError::Relation(
-                                    RelationError::Overflow { op: "sum" },
-                                ))?;
-                                float_sum += *i as f64;
-                            }
-                            Value::Float(f) => {
-                                any = true;
-                                is_float = true;
-                                float_sum += f;
-                            }
-                            _ => return Ok(None),
-                        }
-                    }
-                    if !any {
-                        Value::Null
-                    } else if is_float {
-                        Value::Float(float_sum)
-                    } else {
-                        Value::Int(int_sum)
-                    }
-                }
-                bi_query::AggFunc::Min => cells
-                    .filter(|v| !v.is_null())
-                    .min()
-                    .cloned()
-                    .unwrap_or(Value::Null),
-                bi_query::AggFunc::Max => cells
-                    .filter(|v| !v.is_null())
-                    .max()
-                    .cloned()
-                    .unwrap_or(Value::Null),
-                bi_query::AggFunc::Avg | bi_query::AggFunc::CountDistinct => {
-                    unreachable!("checked above")
-                }
-            };
-            row.push(merged);
-        }
-        out.push_row(row)?;
-    }
+
+    let mut delivered = Catalog::new();
+    delivered.put_table(table.clone());
+    let merge = scan(table.name()).aggregate(group_by.clone(), merge);
+    let merged = bi_query::execute_with(&merge, &delivered, exec)?;
     let note = format!(
         "re-merged {} generalized group(s) into {}",
         table.len(),
-        out.len()
+        merged.len()
     );
-    Ok(Some((out, note)))
+    // The delivery keeps its own name and schema (types, nullability).
+    let merged = Table::from_rows_trusted(
+        table.name().to_string(),
+        table.schema_shared(),
+        merged.rows().to_vec(),
+    );
+    Ok(Some((merged, note)))
 }
 
 /// Applies one post-anonymization method to one output column.
@@ -940,31 +903,41 @@ mod tests {
 mod regroup_tests {
     use super::*;
     use bi_pla::{PlaDocument, PlaLevel, PlaRule};
-    use bi_query::plan::scan;
+    use bi_relation::RelationError;
     use bi_types::RoleId;
 
-    fn catalog() -> Catalog {
+    /// `Fact(Disease, Cost)` with the given cost type (nullable).
+    fn fact(cost: DataType, rows: Vec<(&str, Value)>) -> Catalog {
         let mut cat = Catalog::new();
         cat.add_table(
             Table::from_rows(
                 "Fact",
                 Schema::new(vec![
                     Column::new("Disease", DataType::Text),
-                    Column::new("Cost", DataType::Int),
+                    Column::nullable("Cost", cost),
                 ])
                 .unwrap(),
-                vec![
-                    vec!["HIV".into(), 60.into()],
-                    vec!["hepatitis".into(), 30.into()],
-                    vec!["asthma".into(), 10.into()],
-                    vec!["bronchitis".into(), 25.into()],
-                    vec!["bronchitis".into(), 5.into()],
-                ],
+                rows.into_iter()
+                    .map(|(disease, cost)| vec![disease.into(), cost])
+                    .collect(),
             )
             .unwrap(),
         )
         .unwrap();
         cat
+    }
+
+    fn catalog() -> Catalog {
+        fact(
+            DataType::Int,
+            vec![
+                ("HIV", 60.into()),
+                ("hepatitis", 30.into()),
+                ("asthma", 10.into()),
+                ("bronchitis", 25.into()),
+                ("bronchitis", 5.into()),
+            ],
+        )
     }
 
     fn config() -> EngineConfig {
@@ -976,6 +949,7 @@ mod regroup_tests {
                 .edge("hepatitis", "infectious")
                 .edge("asthma", "respiratory")
                 .edge("bronchitis", "respiratory")
+                .edge("flu", "respiratory")
                 .build("Disease")
                 .unwrap(),
         );
@@ -993,6 +967,22 @@ mod regroup_tests {
         )
     }
 
+    /// The row oracle, then the fused engine at 1, 2 and 8 threads.
+    fn engines() -> Vec<ExecConfig> {
+        let mut engines = vec![ExecConfig::serial()];
+        for t in [1, 2, 8] {
+            engines.push(
+                ExecConfig::with_threads(t)
+                    .with_pinned_threads(true)
+                    .with_columnar(true),
+            );
+        }
+        engines
+    }
+
+    /// Renders `aggs` by Disease on every engine of [`engines`]; each
+    /// must deliver the oracle's table (name, schema, rows in order)
+    /// and notes, or fail with its error. Returns the oracle's result.
     fn render(cat: &Catalog, aggs: Vec<AggItem>) -> Result<EnforcedReport, ReportError> {
         let report = ReportSpec::new(
             "r",
@@ -1000,23 +990,49 @@ mod regroup_tests {
             scan("Fact").aggregate(vec!["Disease".into()], aggs),
             [RoleId::new("analyst")],
         );
-        render_enforced(
-            &report,
-            cat,
-            &policy(),
-            &BTreeMap::new(),
-            &config(),
-            Date::new(2008, 7, 1).unwrap(),
-        )
+        let mut runs = engines().into_iter().map(|exec| {
+            let config = EngineConfig { exec, ..config() };
+            let out = render_enforced(
+                &report,
+                cat,
+                &policy(),
+                &BTreeMap::new(),
+                &config,
+                Date::new(2008, 7, 1).unwrap(),
+            );
+            (config.exec, out)
+        });
+        let (_, oracle) = runs.next().unwrap();
+        for (exec, run) in runs {
+            match (&oracle, &run) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.table.name(), b.table.name(), "{exec:?}");
+                    assert_eq!(a.table.schema(), b.table.schema(), "{exec:?}");
+                    // Debug text tells -0.0 from 0.0, which `==` does not.
+                    assert_eq!(
+                        format!("{:?}", a.table.rows()),
+                        format!("{:?}", b.table.rows()),
+                        "{exec:?}"
+                    );
+                    assert_eq!(a.applied, b.applied, "{exec:?}");
+                }
+                (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{exec:?}"),
+                _ => panic!("{exec:?} disagrees with the oracle: {run:?} vs {oracle:?}"),
+            }
+        }
+        oracle
     }
 
     fn deliver(aggs: Vec<AggItem>) -> EnforcedReport {
         render(&catalog(), aggs).unwrap()
     }
 
+    fn merged(out: &EnforcedReport) -> bool {
+        out.applied.iter().any(|a| a.contains("re-merged"))
+    }
+
     #[test]
     fn counts_sums_min_max_merge() {
-        use bi_query::plan::AggFunc;
         let out = deliver(vec![
             AggItem::count_star("n"),
             AggItem::new("spend", AggFunc::Sum, "Cost"),
@@ -1042,7 +1058,10 @@ mod regroup_tests {
             .unwrap();
         assert_eq!(resp[1], Value::Int(3));
         assert_eq!(resp[2], Value::Int(40));
-        assert!(out.applied.iter().any(|a| a.contains("re-merged")));
+        assert!(out
+            .applied
+            .iter()
+            .any(|a| a == "re-merged 4 generalized group(s) into 2"));
     }
 
     /// Two `i64::MAX` costs whose diseases generalize into one family:
@@ -1050,24 +1069,10 @@ mod regroup_tests {
     /// oracle's `sum` error instead of wrapping (or panicking).
     #[test]
     fn merged_sum_overflow_is_the_oracles_error() {
-        use bi_query::plan::AggFunc;
-        let mut cat = Catalog::new();
-        cat.add_table(
-            Table::from_rows(
-                "Fact",
-                Schema::new(vec![
-                    Column::new("Disease", DataType::Text),
-                    Column::new("Cost", DataType::Int),
-                ])
-                .unwrap(),
-                vec![
-                    vec!["HIV".into(), i64::MAX.into()],
-                    vec!["hepatitis".into(), i64::MAX.into()],
-                ],
-            )
-            .unwrap(),
-        )
-        .unwrap();
+        let cat = fact(
+            DataType::Int,
+            vec![("HIV", i64::MAX.into()), ("hepatitis", i64::MAX.into())],
+        );
         let err = render(&cat, vec![AggItem::new("spend", AggFunc::Sum, "Cost")]).unwrap_err();
         assert!(
             matches!(
@@ -1080,7 +1085,6 @@ mod regroup_tests {
 
     #[test]
     fn avg_blocks_the_merge_but_still_generalizes() {
-        use bi_query::plan::AggFunc;
         let out = deliver(vec![AggItem::new("mean", AggFunc::Avg, "Cost")]);
         // Labels generalized, but rows not merged (avg is not mergeable
         // from its own output).
@@ -1091,7 +1095,140 @@ mod regroup_tests {
             .unwrap()
             .iter()
             .all(|v| v == &Value::from("infectious") || v == &Value::from("respiratory")));
-        assert!(out.applied.iter().all(|a| !a.contains("re-merged")));
+        assert!(!merged(&out));
+    }
+
+    /// Groups whose every cost is NULL merge to NULL mins, maxes and
+    /// sums and a zero count, next to a family with a value.
+    #[test]
+    fn all_null_members_merge_to_null() {
+        let cat = fact(
+            DataType::Int,
+            vec![
+                ("asthma", Value::Null),
+                ("HIV", 60.into()),
+                ("bronchitis", Value::Null),
+            ],
+        );
+        let out = render(
+            &cat,
+            vec![
+                AggItem::new("lo", AggFunc::Min, "Cost"),
+                AggItem::new("hi", AggFunc::Max, "Cost"),
+                AggItem::new("spend", AggFunc::Sum, "Cost"),
+                AggItem::new("n", AggFunc::Count, "Cost"),
+            ],
+        )
+        .unwrap();
+        let rows = out.table.rows();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(
+            rows[0],
+            vec![
+                "respiratory".into(),
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Int(0)
+            ],
+            "first-appearance order"
+        );
+        assert_eq!(
+            rows[1],
+            vec![
+                "infectious".into(),
+                60.into(),
+                60.into(),
+                60.into(),
+                Value::Int(1)
+            ]
+        );
+        assert!(merged(&out));
+    }
+
+    /// Float sums re-sum group by group, in first-appearance order.
+    #[test]
+    fn float_sums_merge() {
+        let cat = fact(
+            DataType::Float,
+            vec![
+                ("HIV", Value::Float(0.1)),
+                ("asthma", Value::Float(1.5)),
+                ("hepatitis", Value::Float(0.2)),
+            ],
+        );
+        let out = render(&cat, vec![AggItem::new("spend", AggFunc::Sum, "Cost")]).unwrap();
+        assert_eq!(
+            out.table.schema().column("spend").unwrap().dtype,
+            DataType::Float
+        );
+        assert_eq!(
+            out.table.rows(),
+            [
+                vec!["infectious".into(), Value::Float(0.1 + 0.2)],
+                vec!["respiratory".into(), Value::Float(1.5)],
+            ]
+        );
+    }
+
+    #[test]
+    fn three_groups_collapse_into_one() {
+        let cat = fact(
+            DataType::Int,
+            vec![
+                ("asthma", 1.into()),
+                ("flu", 2.into()),
+                ("bronchitis", 4.into()),
+                ("flu", 8.into()),
+            ],
+        );
+        let out = render(
+            &cat,
+            vec![
+                AggItem::count_star("n"),
+                AggItem::new("spend", AggFunc::Sum, "Cost"),
+            ],
+        )
+        .unwrap();
+        assert_eq!(
+            out.table.rows(),
+            [vec!["respiratory".into(), Value::Int(4), Value::Int(15)]]
+        );
+        assert!(out
+            .applied
+            .iter()
+            .any(|a| a == "re-merged 3 generalized group(s) into 1"));
+    }
+
+    /// When generalization makes no groups coincide, the generalized
+    /// table is delivered as it is and no re-merge is noted.
+    #[test]
+    fn no_coincidence_leaves_the_table_alone() {
+        let cat = fact(
+            DataType::Int,
+            vec![("HIV", 60.into()), ("asthma", 10.into())],
+        );
+        let out = render(&cat, vec![AggItem::new("spend", AggFunc::Sum, "Cost")]).unwrap();
+        assert_eq!(
+            out.table.rows(),
+            [
+                vec!["infectious".into(), Value::Int(60)],
+                vec!["respiratory".into(), Value::Int(10)],
+            ]
+        );
+        assert!(!merged(&out));
+        let plan = scan("Fact").aggregate(
+            vec!["Disease".into()],
+            vec![AggItem::new("spend", AggFunc::Sum, "Cost")],
+        );
+        for exec in engines() {
+            assert!(
+                regroup_generalized(&out.table, &plan, &["Disease".into()], &exec)
+                    .unwrap()
+                    .is_none(),
+                "{exec:?}"
+            );
+        }
     }
 }
 

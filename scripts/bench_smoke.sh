@@ -4,10 +4,11 @@
 # Runs `bench_parallel --quick` (thread sweep over the row-engine
 # filter), `bench_columnar` (row vs vectorized at one thread) and
 # `bench_vm` (recursive walker vs bytecode VM vs columnar), validates
-# their JSON output, and enforces the gates. The fresh JSON goes to a
-# temporary directory, so a run never rewrites the committed
-# `BENCH_*.json` artifacts it gates against; refresh those, when
-# wanted, with a bench binary's `--out`. The gates:
+# their JSON output, and enforces the gates. Every gate is evaluated;
+# the script then exits non-zero listing each one that failed. The
+# fresh JSON goes to a temporary directory, so a run never rewrites the
+# committed `BENCH_*.json` artifacts it gates against; refresh those,
+# when wanted, with a bench binary's `--out`. The gates:
 #
 #   * per op at the largest size, the 1-thread run must stay within a
 #     noise tolerance of serial (it IS the serial path plus config
@@ -32,9 +33,11 @@
 #     never lose to it on any workload at the largest size;
 #   * obs-disabled overhead: the engine carries the observability layer
 #     (bi-obs) on every hot path, but a disabled recorder must be a true
-#     no-op — the fresh columnar timings are compared against the
-#     committed BENCH_columnar.json baseline (sizes present in both) and
-#     must stay within a 1.5x noise envelope;
+#     no-op — each fresh columnar timing, divided by the host-speed
+#     control `bench_columnar` times right after it, must stay within a
+#     1.5x noise envelope of the same ratio in the committed
+#     BENCH_columnar.json baseline (sizes present in both). Dividing by
+#     the control keeps host speed out of the comparison;
 #   * shared-render batch delivery (`bench_batch`): grouping equivalent
 #     requests must beat the unshared per-request fan-out by >= 3x on a
 #     20-profile batch with shared renders actually recorded
@@ -89,6 +92,15 @@ python3 - "$PAR_OUT" "$COL_OUT" "$COL_BASELINE" "$VM_OUT" "$BATCH_OUT" "$WAL_OUT
 import json
 import sys
 
+# Every gate is evaluated; failures are collected and listed at the end.
+failures = []
+
+
+def fail(msg):
+    failures.append(msg)
+    print(f"FAIL: {msg}")
+
+
 OPS = ("filter",)
 
 with open(sys.argv[1]) as f:
@@ -114,26 +126,28 @@ for s in par["sizes"]:
             assert e["choice"] in CHOICES, f"bad planner choice: {op['op']} {e}"
             # Every swept op does per-row work some engine must own.
             if e["choice"] == "none":
-                sys.exit(
-                    f"FAIL: {op['op']} at {s['rows']} rows x {e['threads']} "
+                fail(
+                    f"{op['op']} at {s['rows']} rows x {e['threads']} "
                     f"threads reported no engine choice — every op must "
                     f"record the engine that ran it"
                 )
 
+mark = len(failures)
 largest = max(par["sizes"], key=lambda s: s["rows"])
 for op in largest["ops"]:
     if op["serial_ms"] < 1.0:
         continue  # too fast to time reliably
     one = next(e for e in op["by_threads"] if e["threads"] == 1)
     if one["ms"] > op["serial_ms"] * 1.35:
-        sys.exit(
-            f"FAIL: {op['op']} with 1 thread {one['ms']:.2f} ms > serial "
+        fail(
+            f"{op['op']} with 1 thread {one['ms']:.2f} ms > serial "
             f"{op['serial_ms']:.2f} ms x1.35 at {largest['rows']} rows"
         )
-print(
-    f"parallel smoke OK: {len(par['sizes'])} size(s), cores={cores}, "
-    f"largest {largest['rows']} rows"
-)
+if len(failures) == mark:
+    print(
+        f"parallel smoke OK: {len(par['sizes'])} size(s), cores={cores}, "
+        f"largest {largest['rows']} rows"
+    )
 
 # Fused-pipeline gate: the obligation-shaped deep plan (Filter ->
 # Project -> GroupBy) at one thread, fused vs the same columnar engine
@@ -146,42 +160,46 @@ for d in deep:
     assert d["choice"] in CHOICES, f"bad deep-plan choice: {d}"
 gated = next((d for d in deep if d["rows"] == 100_000), None)
 assert gated is not None, "deep plan must measure 100k rows"
+mark = len(failures)
 if gated["choice"] != "pipeline":
-    sys.exit(
-        f"FAIL: deep plan at 100k rows ran as '{gated['choice']}', "
+    fail(
+        f"deep plan at 100k rows ran as '{gated['choice']}', "
         f"not through the fused pipeline"
     )
 if gated["speedup"] < 1.3:
-    sys.exit(
-        f"FAIL: fused deep plan x{gated['speedup']:.2f} < 1.3 over "
+    fail(
+        f"fused deep plan x{gated['speedup']:.2f} < 1.3 over "
         f"operator-at-a-time columnar at 100k rows / 1 thread "
         f"(columnar {gated['columnar_ms']:.2f} ms, "
         f"pipeline {gated['pipeline_ms']:.2f} ms)"
     )
-deep_str = ", ".join(f"{d['rows']} rows x{d['speedup']:.2f}" for d in deep)
-print(f"pipeline smoke OK: deep plan {deep_str}")
+if len(failures) == mark:
+    deep_str = ", ".join(f"{d['rows']} rows x{d['speedup']:.2f}" for d in deep)
+    print(f"pipeline smoke OK: deep plan {deep_str}")
 
 # Version-keyed chunk-cache gate: a warm render of an unchanged
 # warehouse must actually hit the cache and be measurably faster.
 render = par["repeated_render"]
 assert render["cold_ms"] > 0 and render["warm_ms"] > 0, f"untimed render: {render}"
+mark = len(failures)
 if render["warm_hits"] <= 0:
-    sys.exit(f"FAIL: warm render recorded no chunk-cache hits: {render}")
+    fail(f"warm render recorded no chunk-cache hits: {render}")
 if render["warm_misses"] > 0:
-    sys.exit(
-        f"FAIL: warm render of an unchanged warehouse missed the cache "
+    fail(
+        f"warm render of an unchanged warehouse missed the cache "
         f"{render['warm_misses']} time(s): {render}"
     )
 if render["speedup"] < 1.3:
-    sys.exit(
-        f"FAIL: repeated render speedup {render['speedup']:.2f} < 1.3 at "
+    fail(
+        f"repeated render speedup {render['speedup']:.2f} < 1.3 at "
         f"{render['rows']} rows (cold {render['cold_ms']:.2f} ms, warm "
         f"{render['warm_ms']:.2f} ms) — the chunk cache is not earning its keep"
     )
-print(
-    f"chunk-cache smoke OK: warm render x{render['speedup']:.2f} "
-    f"({render['warm_hits']} hits / {render['warm_misses']} misses)"
-)
+if len(failures) == mark:
+    print(
+        f"chunk-cache smoke OK: warm render x{render['speedup']:.2f} "
+        f"({render['warm_hits']} hits / {render['warm_misses']} misses)"
+    )
 
 with open(sys.argv[2]) as f:
     col = json.load(f)
@@ -192,30 +210,35 @@ for s in col["sizes"]:
     for op in s["ops"]:
         assert op["op"] in ("filter", "join", "aggregate"), f"unknown op: {op}"
         assert op["row_ms"] > 0 and op["columnar_ms"] > 0, f"bad timing: {op}"
+        assert op["control_ms"] > 0, f"untimed host-speed control: {op}"
 
+mark = len(failures)
 largest = max(col["sizes"], key=lambda s: s["rows"])
 gates = {"filter": 1.2, "join": 1.0, "aggregate": 1.0}
 for op in largest["ops"]:
     need = gates[op["op"]]
     if op["speedup"] < need:
-        sys.exit(
-            f"FAIL: columnar {op['op']} speedup {op['speedup']:.2f} < {need} "
+        fail(
+            f"columnar {op['op']} speedup {op['speedup']:.2f} < {need} "
             f"at {largest['rows']} rows (row {op['row_ms']:.2f} ms, "
             f"columnar {op['columnar_ms']:.2f} ms)"
         )
-speedups = ", ".join(f"{o['op']} x{o['speedup']:.2f}" for o in largest["ops"])
-print(f"columnar smoke OK: largest {largest['rows']} rows: {speedups}")
+if len(failures) == mark:
+    speedups = ", ".join(f"{o['op']} x{o['speedup']:.2f}" for o in largest["ops"])
+    print(f"columnar smoke OK: largest {largest['rows']} rows: {speedups}")
 
-# Obs-disabled overhead gate: fresh timings vs the committed baseline.
-# A disabled recorder is Option::None all the way down — no atomics, no
-# clock reads — so the fresh numbers must sit within measurement noise
-# of the committed baseline at every size both runs measured.
+# Obs-disabled overhead gate: fresh timings vs the committed baseline,
+# each in units of the host-speed control timed right after it. A
+# disabled recorder is Option::None all the way down — no atomics, no
+# clock reads — so the fresh ratios must sit within measurement noise
+# of the committed baseline's at every size both runs measured.
 if len(sys.argv) > 3 and sys.argv[3]:
     with open(sys.argv[3]) as f:
         base = json.load(f)
     base_sizes = {s["rows"]: {o["op"]: o for o in s["ops"]} for s in base["sizes"]}
     TOLERANCE = 1.5
     compared = 0
+    mark = len(failures)
     for s in col["sizes"]:
         if s["rows"] not in base_sizes:
             continue
@@ -223,18 +246,26 @@ if len(sys.argv) > 3 and sys.argv[3]:
             ref = base_sizes[s["rows"]].get(op["op"])
             if ref is None or ref["columnar_ms"] < 1.0:
                 continue  # too fast to time reliably
+            assert ref.get("control_ms", 0) > 0, f"baseline lacks the control: {ref}"
             compared += 1
-            if op["columnar_ms"] > ref["columnar_ms"] * TOLERANCE:
-                sys.exit(
-                    f"FAIL: obs-disabled {op['op']} at {s['rows']} rows took "
-                    f"{op['columnar_ms']:.2f} ms vs baseline "
-                    f"{ref['columnar_ms']:.2f} ms (x{TOLERANCE} noise budget) — "
-                    f"the observability layer is not free when disabled"
+            fresh = op["columnar_ms"] / op["control_ms"]
+            was = ref["columnar_ms"] / ref["control_ms"]
+            if fresh > was * TOLERANCE:
+                fail(
+                    f"obs-disabled {op['op']} at {s['rows']} rows took "
+                    f"{fresh:.1f} controls ({op['columnar_ms']:.2f} ms / "
+                    f"{op['control_ms']:.3f} ms) vs baseline {was:.1f} "
+                    f"({ref['columnar_ms']:.2f} ms / {ref['control_ms']:.3f} ms, "
+                    f"x{TOLERANCE} noise budget) — the observability layer is "
+                    f"not free when disabled"
                 )
-    if compared:
-        print(f"obs-disabled overhead OK: {compared} op timing(s) within x{TOLERANCE} of baseline")
-    else:
+    if not compared:
         print("obs-disabled overhead: no comparable baseline sizes (skipped)")
+    elif len(failures) == mark:
+        print(
+            f"obs-disabled overhead OK: {compared} op timing(s) within "
+            f"x{TOLERANCE} of baseline, in host-speed controls"
+        )
 
 with open(sys.argv[4]) as f:
     vm = json.load(f)
@@ -256,16 +287,18 @@ assert largest["rows"] >= 100_000, "VM bench must measure >= 100k rows"
 # filter and project workloads at the largest size, and never loses on
 # any workload.
 vm_gates = {"filter": 1.5, "obligation": 1.0, "project": 1.5}
+mark = len(failures)
 for op in largest["ops"]:
     need = vm_gates[op["op"]]
     if op["speedup"] < need:
-        sys.exit(
-            f"FAIL: VM {op['op']} speedup {op['speedup']:.2f} < {need} at "
+        fail(
+            f"VM {op['op']} speedup {op['speedup']:.2f} < {need} at "
             f"{largest['rows']} rows (ast {op['ast_ms']:.2f} ms, "
             f"vm {op['vm_ms']:.2f} ms)"
         )
-speedups = ", ".join(f"{o['op']} x{o['speedup']:.2f}" for o in largest["ops"])
-print(f"vm smoke OK: largest {largest['rows']} rows: {speedups}")
+if len(failures) == mark:
+    speedups = ", ".join(f"{o['op']} x{o['speedup']:.2f}" for o in largest["ops"])
+    print(f"vm smoke OK: largest {largest['rows']} rows: {speedups}")
 
 with open(sys.argv[5]) as f:
     batch = json.load(f)
@@ -274,16 +307,17 @@ assert batch["requests"] > 0 and batch["profiles"] > 0, f"empty batch bench: {ba
 assert batch["unshared_ms"] > 0 and batch["shared_cold_ms"] > 0, f"untimed batch: {batch}"
 # One render per profile, the rest shared — the scheduler must actually
 # collapse the batch, not just not-crash.
+mark = len(failures)
 if batch["render_shared"] <= 0:
-    sys.exit(f"FAIL: batch delivery recorded no shared renders: {batch}")
+    fail(f"batch delivery recorded no shared renders: {batch}")
 if batch["render_unique"] > batch["profiles"]:
-    sys.exit(
-        f"FAIL: {batch['render_unique']} unique renders for "
+    fail(
+        f"{batch['render_unique']} unique renders for "
         f"{batch['profiles']} profiles — equivalent requests did not collapse"
     )
 if batch["speedup"] < 3.0:
-    sys.exit(
-        f"FAIL: shared batch delivery x{batch['speedup']:.2f} < 3.0 over the "
+    fail(
+        f"shared batch delivery x{batch['speedup']:.2f} < 3.0 over the "
         f"unshared fan-out ({batch['requests']} requests, "
         f"unshared {batch['unshared_ms']:.1f} ms, "
         f"shared {batch['shared_cold_ms']:.1f} ms)"
@@ -292,19 +326,20 @@ if batch["speedup"] < 3.0:
 # storage-rebuilding ETL commit re-keys everything (zero hits) and the
 # re-render matches the serial oracle.
 if batch["warm_cache_hits"] <= 0:
-    sys.exit(f"FAIL: warm batch recorded no render-cache hits: {batch}")
+    fail(f"warm batch recorded no render-cache hits: {batch}")
 if batch["post_etl_cache_hits"] != 0:
-    sys.exit(
-        f"FAIL: {batch['post_etl_cache_hits']} render-cache hit(s) after a "
+    fail(
+        f"{batch['post_etl_cache_hits']} render-cache hit(s) after a "
         f"storage-rebuilding ETL commit — the enforcement key missed an input"
     )
 if batch["post_etl_stale"]:
-    sys.exit("FAIL: post-ETL batch diverged from the serial oracle (stale render served)")
-print(
-    f"batch smoke OK: {batch['requests']} requests / {batch['profiles']} profiles "
-    f"x{batch['speedup']:.2f} cold, x{batch['warm_speedup']:.2f} warm "
-    f"({batch['warm_cache_hits']} warm hits, 0 post-ETL hits)"
-)
+    fail("post-ETL batch diverged from the serial oracle (stale render served)")
+if len(failures) == mark:
+    print(
+        f"batch smoke OK: {batch['requests']} requests / {batch['profiles']} profiles "
+        f"x{batch['speedup']:.2f} cold, x{batch['warm_speedup']:.2f} warm "
+        f"({batch['warm_cache_hits']} warm hits, 0 post-ETL hits)"
+    )
 
 with open(sys.argv[6]) as f:
     wal = json.load(f)
@@ -314,27 +349,36 @@ assert wal["wal_off_ms"] > 0 and wal["wal_on_ms"] > 0, f"untimed WAL bench: {wal
 assert wal["wal_bytes"] > 0, f"WAL run wrote no bytes: {wal}"
 # Durability must be near-free at delivery time: one buffered append +
 # flush per journal entry against a full enforce-render-journal cycle.
+mark = len(failures)
 if wal["overhead"] > 1.15:
-    sys.exit(
-        f"FAIL: WAL-on delivery overhead x{wal['overhead']:.3f} > 1.15 "
+    fail(
+        f"WAL-on delivery overhead x{wal['overhead']:.3f} > 1.15 "
         f"({wal['deliveries']} deliveries, off {wal['wal_off_ms']:.1f} ms, "
         f"on {wal['wal_on_ms']:.1f} ms)"
     )
 # Recovery must replay the complete journal, and fast enough that a
 # restart is an operational non-event.
 if wal["recover_entries"] != wal["recover_expected"]:
-    sys.exit(
-        f"FAIL: recovery replayed {wal['recover_entries']} of "
+    fail(
+        f"recovery replayed {wal['recover_entries']} of "
         f"{wal['recover_expected']} journal entries"
     )
 if wal["recover_ms"] > 5000:
-    sys.exit(
-        f"FAIL: recovering {wal['recover_entries']} journal entries took "
+    fail(
+        f"recovering {wal['recover_entries']} journal entries took "
         f"{wal['recover_ms']:.0f} ms > 5000 ms"
     )
-print(
-    f"wal smoke OK: {wal['deliveries']} deliveries x{wal['overhead']:.3f} "
-    f"overhead, {wal['recover_entries']} entries recovered in "
-    f"{wal['recover_ms']:.1f} ms"
-)
+if len(failures) == mark:
+    print(
+        f"wal smoke OK: {wal['deliveries']} deliveries x{wal['overhead']:.3f} "
+        f"overhead, {wal['recover_entries']} entries recovered in "
+        f"{wal['recover_ms']:.1f} ms"
+    )
+
+if failures:
+    sys.exit(
+        f"bench smoke FAILED: {len(failures)} gate(s)\n"
+        + "\n".join(f"  FAIL: {m}" for m in failures)
+    )
+print("bench smoke OK: every gate passed")
 PY

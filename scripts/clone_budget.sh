@@ -30,7 +30,11 @@ declare -A BUDGET=(
   # an append bumps the reference counts of the render's roles, plan,
   # actions and source versions instead of copying them, and the
   # grouping closure no longer clones a held role set per request.
-  [crates/core/src/system.rs]=56
+  # 56 -> 54 when the audit replay moved onto bi-audit's grouped
+  # time-travel pass: it no longer clones the recorder handle and the
+  # exec config to fan out, and one MVCC-counting resolver serves both
+  # the recheck and the replay.
+  [crates/core/src/system.rs]=54
   # Scheduler: one EnforcementKey clone into the dedup map, one in a
   # test fixture, and the report's plan copied into the render's
   # `Arc<Plan>` once per render (it used to be copied per journal entry
@@ -52,7 +56,12 @@ declare -A BUDGET=(
   # member an owned EnforcedReport/violation list — that copy is the
   # per-consumer API contract; the cross-consumer sharing is the Arc
   # around the RenderOutcome itself. (32 after rustfmt re-wrapped
-  # multi-call lines; the call sites are unchanged.)
+  # multi-call lines; the call sites are unchanged.) Still 32 after the
+  # generalization re-merge moved onto the query engine: its one-table
+  # catalog takes a handle to the delivered table (rows shared by Arc)
+  # and its aggregate plan a copy of the group-by names, while the
+  # hand-written loop's deep copy of the schema went, and so did the
+  # per-render copy of the report's plan when no k-guard rewrites it.
   [crates/report/src/engine.rs]=32
   # bi-exec call sites: parallel operators must share via Arc/borrows,
   # not clone per worker. bi-exec itself moves morsel outputs, never
@@ -107,10 +116,11 @@ declare -A BUDGET=(
   # Audit replay: rebuilding the as-delivered catalog clones the Catalog
   # map (tables inside share rows by Arc) and re-journals one report
   # handle per finding; policy snapshots arrive by Arc, never deep-
-  # copied. The grouped recheck builds that catalog once per (policy
-  # epoch, data versions) group and borrows each group's compiled check
-  # programs per entry — a program is never cloned. The other 4 sites
-  # are test fixtures.
+  # copied. The grouped pass behind both the recheck and the full replay
+  # builds that catalog once per (policy epoch, data versions) group and
+  # hands each entry borrowed views of it and of its compiled check
+  # program — neither is cloned per entry. The other 4 sites are test
+  # fixtures. (Still 6 after the replay moved onto this pass.)
   [crates/audit/src/recheck.rs]=6
   # WAL: records are encoded from borrowed data; the only clones are a
   # plan handed to two round-trip test fixtures. The table decoder

@@ -12,11 +12,23 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
+use plabi::anonymize::hierarchy::CategoricalBuilder;
 use plabi::exec::ExecConfig;
 use plabi::prelude::*;
-use plabi::report::RenderOutcome;
+use plabi::report::{RenderOutcome, ReportError};
+use plabi::synth::names;
+use plabi::types::{Column, DataType, Schema};
 
-const THREADS: [usize; 3] = [1, 2, 8];
+/// `(columnar, threads)`: the row engine and the fused engine, each at
+/// 1, 2 and 8 threads.
+const ENGINES: [(bool, usize); 6] = [
+    (false, 1),
+    (false, 2),
+    (false, 8),
+    (true, 1),
+    (true, 2),
+    (true, 8),
+];
 
 fn today() -> Date {
     Date::new(2008, 7, 1).unwrap()
@@ -160,11 +172,14 @@ proptest! {
         // Current data really did change under the journal's feet…
         let live = sys.warehouse().catalog().table("FactPrescriptions").unwrap();
         prop_assert!(live.schema().column("One").is_ok());
-        // …yet the replay is unmoved, on every thread count.
-        for threads in THREADS {
-            sys.engine_mut().exec = ExecConfig::with_threads(threads).with_pinned_threads(true);
+        // …yet the replay is unmoved, on both engines and every thread
+        // count.
+        for (columnar, threads) in ENGINES {
+            sys.engine_mut().exec = ExecConfig::with_threads(threads)
+                .with_pinned_threads(true)
+                .with_columnar(columnar);
             let after = replay_fingerprints(&sys);
-            prop_assert_eq!(&after, &before, "threads={}", threads);
+            prop_assert_eq!(&after, &before, "columnar={} threads={}", columnar, threads);
             prop_assert!(after.iter().all(|(_, m, _)| *m));
         }
         let replays = sys.replay_at_delivery().unwrap();
@@ -234,6 +249,75 @@ fn versioned_replay_diverges_from_current_data_after_etl() {
     assert_eq!(
         entries[1].provenance.source_versions,
         vec![("FactPrescriptions".into(), 2)].into()
+    );
+}
+
+/// Replay answers with the first error in journal order. The earlier
+/// entry's render fails (its generalization hierarchy is gone) and the
+/// later entry's check no longer compiles (its table is gone): replay
+/// returns the render error on both engines and every thread count,
+/// while recheck, which does not render, meets the compile error.
+#[test]
+fn replay_returns_the_earliest_entrys_error() {
+    let mut sys = deployment();
+    sys.add_pla_text(
+        r#"pla "coarse" source hospital version 1 level meta-report {
+  anonymize FactPrescriptions.Disease with generalize 1;
+}"#,
+    )
+    .unwrap();
+    let mut families = CategoricalBuilder::new();
+    for (child, parent) in names::disease_hierarchy_edges() {
+        families = families.edge(child, parent);
+    }
+    sys.engine_mut().hierarchies.insert(
+        "FactPrescriptions.Disease".to_string(),
+        families.build("Disease").unwrap(),
+    );
+    let generalized = sys
+        .deliver(&ReportId::new("r-disease"), &ConsumerId::new("a0"))
+        .unwrap();
+    assert!(generalized.applied.iter().any(|a| a.contains("generalize")));
+
+    let beds = Table::from_rows(
+        "Beds",
+        Schema::new(vec![Column::new("Ward", DataType::Text)]).unwrap(),
+        vec![vec!["north".into()]],
+    )
+    .unwrap();
+    sys.warehouse_mut().catalog_mut().add_table(beds).unwrap();
+    sys.define_report(ReportSpec::new(
+        "r-beds",
+        "Beds",
+        scan("Beds").project_cols(&["Ward"]),
+        [RoleId::new("analyst")],
+    ));
+    sys.deliver(&ReportId::new("r-beds"), &ConsumerId::new("a0"))
+        .unwrap();
+
+    sys.engine_mut().hierarchies.clear();
+    assert!(sys.warehouse_mut().catalog_mut().remove("Beds"));
+    for (columnar, threads) in ENGINES {
+        sys.engine_mut().exec = ExecConfig::with_threads(threads)
+            .with_pinned_threads(true)
+            .with_columnar(columnar);
+        let err = sys.replay_at_delivery().unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                SystemError::Report(ReportError::MissingHierarchy { attribute })
+                    if attribute == "FactPrescriptions.Disease"
+            ),
+            "columnar={columnar} threads={threads}: {err:?}"
+        );
+    }
+    let err = sys.recheck_at_delivery().unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            SystemError::Query(plabi::query::QueryError::UnknownRelation { name }) if name == "Beds"
+        ),
+        "{err:?}"
     );
 }
 

@@ -494,34 +494,6 @@ proptest! {
     }
 }
 
-// ---------- optimizer equivalence ----------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// `optimize` (predicate pushdown + projection pruning) preserves
-    /// results exactly on randomly generated report plans.
-    #[test]
-    fn optimizer_preserves_semantics(seed in 0u64..10_000) {
-        let (cat, universe, _) = small_universe();
-        let w = EvolutionWorkload::generate(
-            WorkloadParams { seed, initial_reports: 4, epochs: 0, events_per_epoch: 0, ..Default::default() },
-            &universe,
-        );
-        for r in &w.initial {
-            let optimized = plabi::query::optimize(&r.plan, &cat).unwrap();
-            let a = plabi::query::execute(&r.plan, &cat).unwrap();
-            let b = plabi::query::execute(&optimized, &cat).unwrap();
-            let mut ra = a.rows().to_vec();
-            let mut rb = b.rows().to_vec();
-            ra.sort();
-            rb.sort();
-            prop_assert_eq!(ra, rb, "plan {} changed semantics under optimization", r.id);
-            prop_assert_eq!(a.schema().names(), b.schema().names());
-        }
-    }
-}
-
 // ---------- calendar and CSV round-trips ----------
 
 proptest! {
