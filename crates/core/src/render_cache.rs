@@ -60,25 +60,9 @@ impl RenderCache {
         }
     }
 
-    /// Rebounds the cache; `0` disables it. Shrinking evicts
-    /// least-recently-used entries down to the new bound.
-    pub fn set_capacity(&mut self, capacity: usize, obs: &Obs) {
-        self.capacity = capacity;
-        if capacity == 0 {
-            self.map.clear();
-            return;
-        }
-        while self.map.len() > capacity {
-            self.evict_oldest(obs);
-        }
-    }
-
     /// The shared render for `key`, refreshing its LRU stamp. `None`
-    /// when absent or the cache is disabled (no counters fire then).
+    /// when absent.
     pub fn get(&mut self, key: &EnforcementKey, obs: &Obs) -> Option<Arc<RenderedDelivery>> {
-        if self.capacity == 0 {
-            return None;
-        }
         self.tick += 1;
         let tick = self.tick;
         match self.map.get_mut(key) {
@@ -94,12 +78,9 @@ impl RenderCache {
         }
     }
 
-    /// Stores a freshly rendered group outcome. No-op when disabled;
-    /// evicts the least-recently-used eighth when full.
+    /// Stores a freshly rendered group outcome, evicting the
+    /// least-recently-used eighth when full.
     pub fn insert(&mut self, key: EnforcementKey, value: Arc<RenderedDelivery>, obs: &Obs) {
-        if self.capacity == 0 {
-            return;
-        }
         self.tick += 1;
         let tick = self.tick;
         if self.map.len() >= self.capacity {
@@ -217,24 +198,6 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&key("b", 1, 1), &obs).is_some());
         cache.clear();
-        assert_eq!(cache.len(), 0);
-    }
-
-    #[test]
-    fn zero_capacity_is_inert() {
-        let mut cache = RenderCache::new(0);
-        let obs = Obs::enabled();
-        cache.insert(key("a", 1, 1), rendered("a"), &obs);
-        assert!(cache.get(&key("a", 1, 1), &obs).is_none());
-        assert_eq!(cache.len(), 0);
-        assert!(
-            obs.snapshot().counters.is_empty(),
-            "disabled cache counts nothing"
-        );
-        // Shrinking to zero drops existing entries.
-        let mut cache = RenderCache::new(4);
-        cache.insert(key("a", 1, 1), rendered("a"), &obs);
-        cache.set_capacity(0, &obs);
         assert_eq!(cache.len(), 0);
     }
 }

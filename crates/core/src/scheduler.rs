@@ -98,8 +98,8 @@ pub(crate) enum Slot {
 pub(crate) struct Group {
     pub report: Arc<ReportSpec>,
     pub effective: Arc<BTreeSet<RoleId>>,
-    /// `None` when sharing is off or the key could not be computed
-    /// (plan errors): the group is solo and never touches the cache.
+    /// `None` when the key could not be computed (plan errors): the
+    /// group is solo and never touches the cache.
     pub key: Option<EnforcementKey>,
     /// Request indices served by this group, in request order.
     pub members: Vec<usize>,
@@ -125,12 +125,8 @@ pub(crate) struct GroupedBatch {
 /// join one group without recomputing anything. A first sighting whose
 /// key equals an existing group's key joins that group too, so held
 /// sets that differ but meet the distribution list alike still share.
-///
-/// With `share` off every request gets its own key-less group — the
-/// unshared baseline renders exactly like the old per-request fan-out.
 pub(crate) fn group_requests<'r, R, L, K>(
     requests: &[(ReportId, ConsumerId)],
-    share: bool,
     mut resolve: R,
     mut roles_of: L,
     mut key_of: K,
@@ -156,11 +152,7 @@ where
             continue;
         };
         let effective = effective_roles(held, &report);
-        let key = if share {
-            key_of(&report, &effective)
-        } else {
-            None
-        };
+        let key = key_of(&report, &effective);
         let gi = match key.as_ref().and_then(|k| by_key.get(k)) {
             Some(&gi) => {
                 groups[gi].members.push(i);
@@ -227,7 +219,7 @@ mod tests {
         reg
     }
 
-    fn run_keyed<K>(requests: &[(ReportId, ConsumerId)], share: bool, key_of: K) -> GroupedBatch
+    fn run_keyed<K>(requests: &[(ReportId, ConsumerId)], key_of: K) -> GroupedBatch
     where
         K: FnMut(&ReportSpec, &BTreeSet<RoleId>) -> Option<EnforcementKey>,
     {
@@ -235,15 +227,14 @@ mod tests {
         let reg = registry(requests);
         group_requests(
             requests,
-            share,
             |id| specs.iter().find(|s| &s.id == id).map(Arc::clone),
             |c| reg.roles_of(c),
             key_of,
         )
     }
 
-    fn run(requests: &[(ReportId, ConsumerId)], share: bool) -> GroupedBatch {
-        run_keyed(requests, share, key)
+    fn run(requests: &[(ReportId, ConsumerId)]) -> GroupedBatch {
+        run_keyed(requests, key)
     }
 
     fn req(id: &str, c: &str) -> (ReportId, ConsumerId) {
@@ -258,7 +249,7 @@ mod tests {
             req("a", "analyst-2"),
             req("b", "analyst-1"),
         ];
-        let g = run(&requests, true);
+        let g = run(&requests);
         assert_eq!(g.slots.len(), 4);
         assert_eq!(g.slots[0], Slot::Group(0));
         assert_eq!(g.slots[1], Slot::Unknown);
@@ -283,18 +274,15 @@ mod tests {
         // Same report, but auditor-1 intersects to a different role set
         // than analyst-1 — the gate may decide differently, no sharing.
         let requests = [req("b", "analyst-1"), req("b", "auditor-1")];
-        let g = run(&requests, true);
+        let g = run(&requests);
         assert_eq!(g.groups.len(), 2);
         // A roleless stranger refuses under an empty effective set —
         // shared with other strangers, split from the members.
-        let g = run(
-            &[
-                req("b", "nobody-1"),
-                req("b", "nobody-2"),
-                req("b", "analyst-1"),
-            ],
-            true,
-        );
+        let g = run(&[
+            req("b", "nobody-1"),
+            req("b", "nobody-2"),
+            req("b", "analyst-1"),
+        ]);
         assert_eq!(g.groups.len(), 2);
         assert_eq!(g.groups[0].members, vec![0, 1]);
         assert!(g.groups[0].effective.is_empty());
@@ -310,7 +298,7 @@ mod tests {
             req("a", "analyst+auditor-1"),
             req("a", "analyst+manager-2"),
         ];
-        let g = run(&requests, true);
+        let g = run(&requests);
         assert_eq!(g.groups.len(), 1);
         assert_eq!(g.groups[0].members, vec![0, 1, 2, 3]);
         assert_eq!(
@@ -328,7 +316,7 @@ mod tests {
             req("a", "analyst-1"),
             req("a", "analyst-1"),
         ];
-        let g = run_keyed(&requests, true, |_, _| None);
+        let g = run_keyed(&requests, |_, _| None);
         assert_eq!(g.groups.len(), 3);
         assert_eq!(
             g.slots,
@@ -343,30 +331,15 @@ mod tests {
     #[test]
     fn unknown_consumers_share_one_group() {
         let requests = [req("a", "nobody-1"), req("a", "nobody-2")];
-        let g = run(&requests, true);
+        let g = run(&requests);
         assert_eq!(g.groups.len(), 1);
         assert_eq!(g.groups[0].members, vec![0, 1]);
         assert!(g.groups[0].effective.is_empty());
     }
 
     #[test]
-    fn sharing_off_renders_every_request_solo() {
-        let requests = [
-            req("a", "analyst-1"),
-            req("a", "analyst-1"),
-            req("a", "analyst-1"),
-        ];
-        let g = run(&requests, false);
-        assert_eq!(g.groups.len(), 3);
-        assert!(g
-            .groups
-            .iter()
-            .all(|gr| gr.key.is_none() && gr.members.len() == 1));
-    }
-
-    #[test]
     fn empty_batch_produces_nothing() {
-        let g = run(&[], true);
+        let g = run(&[]);
         assert!(g.slots.is_empty());
         assert!(g.groups.is_empty());
     }

@@ -147,9 +147,6 @@ pub struct BiSystem {
     /// Next delivery trace number; trace 0 is reserved for entries
     /// journaled outside a live engine ([`Provenance::default`]).
     next_trace: u64,
-    /// Collapse enforcement-equivalent requests in `deliver_batch` to
-    /// one shared render (on by default; see [`crate::scheduler`]).
-    share_renders: bool,
     /// Cross-batch render cache keyed by [`EnforcementKey`].
     render_cache: RenderCache,
     /// Write-ahead log, when [`BiSystem::enable_wal`] attached one.
@@ -179,7 +176,6 @@ impl BiSystem {
             data_epoch: 0,
             policy_cache: Mutex::new(PolicyCacheState::default()),
             next_trace: 1,
-            share_renders: true,
             render_cache: RenderCache::new(DEFAULT_RENDER_CACHE_CAPACITY),
             wal: None,
             policy_history_retain: DEFAULT_POLICY_HISTORY_RETENTION,
@@ -189,22 +185,6 @@ impl BiSystem {
         // recheck against what actually gated them.
         sys.snapshot_policies();
         sys
-    }
-
-    /// Enables or disables cross-consumer render sharing in
-    /// [`BiSystem::deliver_batch`] (on by default). Off, every request
-    /// renders individually — the baseline the shared scheduler is
-    /// benchmarked against.
-    pub fn set_render_sharing(&mut self, share: bool) {
-        self.share_renders = share;
-    }
-
-    /// Bounds the cross-batch render cache, in cached renders; `0`
-    /// disables it (shrinking evicts immediately). Sharing *within* one
-    /// batch is unaffected — see [`BiSystem::set_render_sharing`].
-    pub fn set_render_cache_capacity(&mut self, capacity: usize) {
-        let obs = self.engine.exec.obs.clone();
-        self.render_cache.set_capacity(capacity, &obs);
     }
 
     /// Assigns the next delivery trace id (request order).
@@ -857,7 +837,6 @@ impl BiSystem {
         let mut versions: BTreeMap<ReportId, Option<Vec<(String, u64)>>> = BTreeMap::new();
         let grouped = scheduler::group_requests(
             requests,
-            self.share_renders,
             |id| self.reports.get(id).map(Arc::clone),
             |consumer| self.subjects.roles_of(consumer),
             |report, effective| {
@@ -1505,6 +1484,12 @@ mod tests {
     }
 
     #[test]
+    fn new_systems_ship_the_fused_engine_at_one_thread() {
+        let sys = BiSystem::new(today());
+        assert_eq!(sys.engine.exec, bi_exec::ExecConfig::columnar());
+    }
+
+    #[test]
     fn raw_reports_are_refused_and_logged() {
         let mut sys = build_system();
         sys.define_report(ReportSpec::new(
@@ -1563,6 +1548,7 @@ mod tests {
         ];
 
         let mut serial_sys = build_system();
+        serial_sys.engine_mut().exec = bi_exec::ExecConfig::serial();
         define(&mut serial_sys);
         let serial: Vec<_> = requests
             .iter()

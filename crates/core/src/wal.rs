@@ -42,7 +42,7 @@
 //! [`WalWriter::append`] flushes userspace buffers (`flush`) but does
 //! not `fsync`: an OS crash can lose the last records, a process crash
 //! cannot. That is the deliberate price of keeping the per-delivery
-//! logging overhead within the benchmark budget (`bench_wal` gates it);
+//! logging overhead within the benchmark budget (`bench_gates` gates it);
 //! a deployment wanting full durability would fsync on a timer.
 
 use std::collections::HashMap;

@@ -114,8 +114,8 @@ pub fn effective_parallelism() -> usize {
 impl Eq for ExecConfig {}
 
 impl ExecConfig {
-    /// Serial row-at-a-time execution on the caller's thread (the
-    /// default, and the oracle every other configuration must match).
+    /// Serial row-at-a-time execution on the caller's thread: the
+    /// oracle every other configuration must match.
     pub const fn serial() -> Self {
         ExecConfig {
             threads: 1,
@@ -148,7 +148,8 @@ impl ExecConfig {
         }
     }
 
-    /// Single-threaded execution with columnar operators enabled.
+    /// Single-threaded execution with columnar operators enabled: the
+    /// fused engine at one thread, and the [`Default`].
     pub const fn columnar() -> Self {
         ExecConfig {
             threads: 1,
@@ -224,7 +225,7 @@ impl ExecConfig {
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        Self::serial()
+        Self::columnar()
     }
 }
 
@@ -408,7 +409,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_defaults_to_serial() {
+    fn config_defaults_to_the_fused_engine_at_one_thread() {
+        assert_eq!(ExecConfig::default(), ExecConfig::columnar());
         assert!(ExecConfig::default().is_serial());
         assert!(ExecConfig::serial().is_serial());
         assert!(ExecConfig::with_threads(1).is_serial());

@@ -137,13 +137,6 @@ fn evict_oldest(inner: &mut Inner) {
     inner.map.retain(|_, e| e.stamp > cutoff);
 }
 
-/// Empties the cache. Benches use this to measure cold-vs-warm renders;
-/// production never needs it (version keys make invalidation automatic).
-pub fn clear() {
-    let mut inner = lock_in(global());
-    inner.map.clear();
-}
-
 /// Number of cached columns (diagnostics and tests).
 pub fn len() -> usize {
     lock_in(global()).map.len()
@@ -234,15 +227,18 @@ mod tests {
 
     #[test]
     fn eviction_bounds_the_cache() {
-        clear();
+        // Private cache instance, like the LRU tests below: the
+        // process-wide one is shared with concurrently running tests.
+        let cache = Mutex::new(Inner::default());
         let obs = Obs::disabled();
         let cap = DEFAULT_CHUNK_CACHE_CAPACITY;
         for i in 0..(cap + 64) {
             let t = table(&[i as i64]);
-            let _ = cached_column(&t, 0, &obs, cap);
+            let _ = cached_column_in(&cache, &t, 0, &obs, cap);
         }
-        assert!(len() <= cap, "cache grew past capacity: {}", len());
-        assert!(len() > 0);
+        let len = lock_in(&cache).map.len();
+        assert!(len <= cap, "cache grew past capacity: {len}");
+        assert!(len > 0);
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub struct EngineConfig {
     /// rollup total could difference it back, so the smallest surviving
     /// sibling is hidden too.
     pub complementary_guard: bool,
-    /// How the rewritten plan executes. Defaults to serial; any thread
+    /// How the rewritten plan executes. Defaults to the fused engine at
+    /// one thread ([`ExecConfig::columnar`]); every engine and thread
     /// count produces byte-identical report tables (see `bi-exec`).
     pub exec: ExecConfig,
 }
@@ -490,6 +491,11 @@ fn apply_anon(
                     attribute: key.clone(),
                 })?;
             let c = table.schema().index_of(column)?;
+            if *level == 0 {
+                // Level 0 is the identity (`Hierarchy::apply`): the cells
+                // keep their values, so the column keeps its type.
+                return Ok(table);
+            }
             let cols: Vec<Column> = table
                 .schema()
                 .columns()
@@ -669,15 +675,12 @@ mod tests {
             table: "FactPrescriptions".into(),
             condition: col("Disease").ne(lit("HIV")),
         }]);
-        let serial = render_enforced(
-            &report,
-            &catalog(),
-            &p,
-            &table_source(),
-            &EngineConfig::default(),
-            today(),
-        )
-        .unwrap();
+        let oracle = EngineConfig {
+            exec: ExecConfig::serial(),
+            ..Default::default()
+        };
+        let serial =
+            render_enforced(&report, &catalog(), &p, &table_source(), &oracle, today()).unwrap();
         for threads in [1, 2, 8] {
             let config = EngineConfig {
                 exec: ExecConfig::with_threads(threads).with_columnar(true),

@@ -13,8 +13,11 @@
 #      library crate's own `deny(clippy::unwrap_used,
 #      clippy::expect_used)` attribute makes panic paths hard errors;
 #   5. the clone budget (no deep copies creeping into hot paths);
-#   6. the quick benchmark smoke with all perf gates (parallel,
-#      columnar, VM, fused pipeline, chunk cache, obs overhead, WAL).
+#   6. the benchmark smoke: `bench_gates` times production paths only
+#      (fused query operators, the VM operators ETL runs, fusion, the
+#      chunk cache, batch delivery, the WAL) and gates each timing, in
+#      host-speed controls, against the committed BENCH_gates.json,
+#      plus the fusion, cache, batch-sharing and WAL properties.
 #
 # Usage: scripts/ci.sh
 

@@ -34,7 +34,10 @@ declare -A BUDGET=(
   # time-travel pass: it no longer clones the recorder handle and the
   # exec config to fan out, and one MVCC-counting resolver serves both
   # the recheck and the replay.
-  [crates/core/src/system.rs]=54
+  # 54 -> 53 when the render-cache capacity setter went: it cloned the
+  # recorder handle to hand the cache for its eviction counter, and the
+  # cache's bound is now the fixed default.
+  [crates/core/src/system.rs]=53
   # Scheduler: one EnforcementKey clone into the dedup map, one in a
   # test fixture, and the report's plan copied into the render's
   # `Arc<Plan>` once per render (it used to be copied per journal entry

@@ -4,6 +4,7 @@
 //! from the synthetic scenario's taxonomies.
 
 use plabi::anonymize::hierarchy::CategoricalBuilder;
+use plabi::anonymize::Hierarchy;
 use plabi::prelude::*;
 use plabi::synth::names;
 
@@ -105,6 +106,29 @@ fn generalization_flows_from_dsl_to_delivered_cells() {
         .sum();
     assert_eq!(total, 400, "counts conserved through the merge");
     assert!(out.applied.iter().any(|a| a.contains("re-merged")));
+}
+
+/// Level 0 is the identity: generalizing a non-text column at level 0
+/// delivers the same schema and rows as the report without the rule.
+#[test]
+fn generalize_level_zero_delivers_the_report_unchanged() {
+    let deliver = |rules: &str| {
+        let mut sys = system_with(rules);
+        sys.engine_mut()
+            .hierarchies
+            .insert("Fact.Date".to_string(), Hierarchy::date("Date"));
+        sys.define_report(ReportSpec::new(
+            "r",
+            "By date",
+            scan("Fact").aggregate(vec!["Date".into()], vec![AggItem::count_star("n")]),
+            [RoleId::new("analyst")],
+        ));
+        sys.deliver(&"r".into(), &"ada".into()).unwrap().table
+    };
+    let generalized = deliver("anonymize Fact.Date with generalize 0;");
+    let plain = deliver("");
+    assert_eq!(generalized.schema(), plain.schema());
+    assert_eq!(generalized.rows(), plain.rows());
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! Shared-render batch delivery: the scheduler must be *observationally
 //! identical* to a serial `deliver` loop — same results, same journal
 //! entries (sequence numbers, trace ids, roles, outcomes), at every
-//! thread count, with sharing and the cross-batch render cache on or
-//! off. Plus the cache lifecycle: warm batches hit, ETL commits and
-//! report redefinitions invalidate, and nothing stale is ever served.
+//! thread count, cold and served from the cross-batch render cache.
+//! Plus the cache lifecycle: warm batches hit, ETL commits and report
+//! redefinitions invalidate, and nothing stale is ever served.
 
 use plabi::exec::{ExecConfig, Obs};
 use plabi::prelude::*;
@@ -112,15 +112,18 @@ fn fingerprint(r: &Result<plabi::report::EnforcedReport, SystemError>) -> String
     }
 }
 
-/// The serial oracle: a fresh deployment delivering the same requests
-/// one `deliver` call at a time. Returns result fingerprints and the
-/// full journal (every field, including seq and trace ids).
+/// The serial oracle: a fresh deployment on the row engine delivering
+/// the same requests one `deliver` call at a time, `runs` times over.
+/// Returns result fingerprints and the full journal (every field,
+/// including seq and trace ids).
 fn serial_oracle(
     requests: &[(ReportId, ConsumerId)],
+    runs: usize,
 ) -> (Vec<String>, Vec<plabi::audit::AuditEntry>) {
     let mut sys = deployment();
-    let results: Vec<String> = requests
-        .iter()
+    sys.engine_mut().exec = ExecConfig::serial();
+    let results: Vec<String> = (0..runs)
+        .flat_map(|_| requests)
         .map(|(id, c)| fingerprint(&sys.deliver(id, c)))
         .collect();
     (results, sys.audit_log().entries().to_vec())
@@ -131,9 +134,11 @@ proptest! {
 
     /// The equivalence property: for random batches mixing shared
     /// profiles, distinct profiles, refusals and unknown reports,
-    /// `deliver_batch` returns the same results and writes the same
-    /// journal — byte for byte, seq and trace included — as the serial
-    /// loop, at 1/2/8 threads, with the render cache on and off.
+    /// `deliver_batch` on the fused engine returns the same results and
+    /// writes the same journal — byte for byte, seq and trace included —
+    /// as the serial loop on the row oracle, at 1/2/8 threads. Each
+    /// batch runs twice on one system, the second time served from the
+    /// render cache, against the serial loop run twice.
     #[test]
     fn prop_batch_is_byte_identical_to_serial_loop(
         picks in prop::collection::vec((0usize..4, 0usize..8), 0..12),
@@ -144,30 +149,20 @@ proptest! {
             .iter()
             .map(|&(r, c)| (ReportId::new(reports[r]), ConsumerId::new(consumers[c])))
             .collect();
-        let (want_results, want_journal) = serial_oracle(&requests);
+        let (want_results, want_journal) = serial_oracle(&requests, 2);
         for threads in THREADS {
-            for cache_on in [true, false] {
-                let mut sys = deployment();
-                sys.engine_mut().exec =
-                    ExecConfig::with_threads(threads).with_pinned_threads(true);
-                if !cache_on {
-                    sys.set_render_cache_capacity(0);
-                }
-                let got: Vec<String> =
-                    sys.deliver_batch(&requests).iter().map(fingerprint).collect();
-                prop_assert_eq!(&got, &want_results,
-                    "threads={} cache={}", threads, cache_on);
-                prop_assert_eq!(sys.audit_log().entries(), &want_journal[..],
-                    "threads={} cache={}", threads, cache_on);
-            }
+            let mut sys = deployment();
+            sys.engine_mut().exec = ExecConfig::with_threads(threads)
+                .with_pinned_threads(true)
+                .with_columnar(true);
+            let got: Vec<String> = (0..2)
+                .flat_map(|_| sys.deliver_batch(&requests))
+                .map(|r| fingerprint(&r))
+                .collect();
+            prop_assert_eq!(&got, &want_results, "threads={}", threads);
+            prop_assert_eq!(sys.audit_log().entries(), &want_journal[..],
+                "threads={}", threads);
         }
-        // Sharing off must also match: the unshared baseline is the old
-        // per-request fan-out.
-        let mut sys = deployment();
-        sys.set_render_sharing(false);
-        let got: Vec<String> = sys.deliver_batch(&requests).iter().map(fingerprint).collect();
-        prop_assert_eq!(&got, &want_results, "sharing off");
-        prop_assert_eq!(sys.audit_log().entries(), &want_journal[..], "sharing off");
     }
 }
 

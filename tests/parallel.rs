@@ -262,6 +262,7 @@ fn deliver_batch_ordering_is_deterministic() {
 
     let reference: Vec<String> = {
         let mut sys = build();
+        sys.engine_mut().exec = ExecConfig::serial();
         sys.deliver_batch(&requests)
             .iter()
             .map(|r| match r {
