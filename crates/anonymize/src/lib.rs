@@ -24,6 +24,7 @@
 //!   generalization precision loss) used by experiment E7.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod hierarchy;

@@ -8,6 +8,8 @@
 //! "scrambling" the paper cites for privacy-preserving mining, and the
 //! key never leaves the source.
 
+use std::fmt::Write;
+
 use bi_relation::Table;
 use bi_types::{Column, DataType, Schema, Value};
 
@@ -31,17 +33,37 @@ impl Pseudonymizer {
 
     /// The stable pseudonym of one value (NULL stays NULL).
     pub fn pseudonym(&self, v: &Value) -> Value {
-        if v.is_null() {
-            return Value::Null;
-        }
-        let text = v.to_string();
-        // FNV-1a, keyed by folding the key in first.
+        self.token(v, &mut String::new())
+    }
+
+    /// [`Pseudonymizer::pseudonym`] with a reusable buffer: a text
+    /// value is hashed in place (its `Display` is the string itself),
+    /// any other value is formatted into `buf` first, and the token is
+    /// built in `buf`, so the token's cell is the only allocation.
+    fn token(&self, v: &Value, buf: &mut String) -> Value {
+        let h = match v {
+            Value::Null => return Value::Null,
+            Value::Text(s) => self.hash(s.as_bytes()),
+            other => {
+                buf.clear();
+                // Writing into a `String` cannot fail.
+                let _ = write!(buf, "{other}");
+                self.hash(buf.as_bytes())
+            }
+        };
+        buf.clear();
+        let _ = write!(buf, "{}-{h:016x}", self.prefix);
+        Value::text(buf.as_str())
+    }
+
+    /// FNV-1a, keyed by folding the key in first.
+    fn hash(&self, bytes: &[u8]) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.key;
-        for b in text.as_bytes() {
+        for b in bytes {
             h ^= *b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        Value::text(format!("{}-{h:016x}", self.prefix))
+        h
     }
 
     /// Replaces the named column by pseudonyms (column becomes Text).
@@ -68,13 +90,20 @@ impl Pseudonymizer {
             })
             .collect();
         let schema = Schema::new(cols).map_err(AnonError::from)?;
-        let mut out = Table::new(table.name().to_string(), schema);
-        for row in table.rows() {
-            let mut r = row.clone();
-            r[c] = self.pseudonym(&row[c]);
-            out.push_row(r).map_err(AnonError::from)?;
-        }
-        Ok(out)
+        let mut buf = String::new();
+        let rows = table
+            .rows()
+            .iter()
+            .map(|row| {
+                let mut r = row.clone();
+                r[c] = self.token(&row[c], &mut buf);
+                r
+            })
+            .collect();
+        // Well-typed by construction: column `c` now holds Text or, where
+        // it held NULL, NULL under the same nullability; the rest is the
+        // validated input.
+        Ok(Table::from_rows_trusted(table.name(), schema, rows))
     }
 }
 
@@ -128,6 +157,54 @@ mod tests {
         let p = Pseudonymizer::new(9, "N");
         let x = p.pseudonym(&Value::Int(12345));
         assert!(x.as_text().unwrap().starts_with("N-"));
+    }
+
+    #[test]
+    fn tokens_are_pinned_for_every_type() {
+        let p = Pseudonymizer::new(42, "PAT");
+        let date = Value::Date(bi_types::Date::new(2007, 3, 1).unwrap());
+        for (v, token) in [
+            (Value::text("Alice"), "PAT-a330faa5c1021879"),
+            (Value::Int(12345), "PAT-5b258b733b9673be"),
+            (Value::Int(-7), "PAT-08288107b4e30f83"),
+            (Value::Float(2.5), "PAT-a8cad918e178c79a"),
+            (Value::Float(3.0), "PAT-af63d44c8601def4"),
+            (date, "PAT-e0183698a07d7f2a"),
+            (Value::Bool(true), "PAT-e5ceb64ec24d1f83"),
+            (Value::Bool(false), "PAT-fec268f7b2ecfcce"),
+        ] {
+            assert_eq!(p.pseudonym(&v), Value::text(token), "{v:?}");
+        }
+        assert_eq!(p.pseudonym(&Value::Null), Value::Null);
+        // `apply` writes the same tokens, NULLs included.
+        let schema = Schema::new(vec![
+            Column::nullable("Patient", DataType::Text),
+            Column::new("Cost", DataType::Int),
+        ])
+        .unwrap();
+        let t = Table::from_rows(
+            "P",
+            schema,
+            vec![
+                vec!["Alice".into(), Value::Int(12345)],
+                vec![Value::Null, Value::Int(-7)],
+            ],
+        )
+        .unwrap();
+        let by_name = p.apply(&t, "Patient").unwrap();
+        assert_eq!(
+            by_name.column_values("Patient").unwrap(),
+            vec![Value::text("PAT-a330faa5c1021879"), Value::Null]
+        );
+        let by_cost = p.apply(&t, "Cost").unwrap();
+        assert_eq!(by_cost.schema().columns()[1].dtype, DataType::Text);
+        assert_eq!(
+            by_cost.column_values("Cost").unwrap(),
+            vec![
+                Value::text("PAT-5b258b733b9673be"),
+                Value::text("PAT-08288107b4e30f83")
+            ]
+        );
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //!   it and the exact report cells that did.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod dispute;
 pub mod log;

@@ -3,6 +3,8 @@
 //! the host-speed [`Control`] and [`Control::time`], which every timing
 //! of the binary goes through.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 /// Elements the host-speed control sorts.

@@ -21,6 +21,7 @@
 // poisoning is absorbed, map lookups degrade or carry typed errors.
 // Tests may still unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod continuum;
 pub mod elicitation;

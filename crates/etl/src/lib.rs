@@ -20,6 +20,7 @@
 //!   (the paper's "testable" requirement, §2.i).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod check;
 pub mod error;

@@ -1,31 +1,45 @@
 //! # bi-exec — std-only morsel-driven parallel execution substrate
 //!
 //! The crate registry is unreachable in this build environment, so there
-//! is no `rayon`; this is the minimal scoped-thread-pool substrate the
-//! rest of the stack shares. The design follows the morsel-driven
-//! parallelism of Leis et al.: inputs are split into contiguous *morsels*
+//! is no `rayon`; this is the minimal parallel substrate the rest of the
+//! stack shares. The design follows the morsel-driven parallelism of
+//! Leis et al.: inputs are split into contiguous *morsels*
 //! (cache-friendly chunks), idle workers claim the next morsel from an
 //! atomic counter, and per-morsel outputs are reassembled **in morsel
 //! order**, so a parallel run produces exactly the same output as the
 //! serial left-to-right loop it replaces.
 //!
-//! Everything shared between workers is borrowed (`&[T]`, `&F`) under
-//! [`std::thread::scope`]; the data layer's `Arc`-backed tables and
-//! `Arc<CombinedPolicy>` snapshots make those borrows cheap and `Sync`.
+//! The workers are one process-wide pool of parked helper threads,
+//! started by the first call that wants helpers and grown only when a
+//! call asks for more. The calling thread claims morsels alongside
+//! them, so a call on `n` workers wakes `n − 1` helpers. A call made
+//! from inside a running job, or while another thread's job holds the
+//! pool, runs inline on its own thread: nested fan-out never multiplies
+//! threads past the host's cores.
+//!
+//! Everything shared between workers is borrowed (`&[T]`, `&F`); the
+//! data layer's `Arc`-backed tables and `Arc<CombinedPolicy>` snapshots
+//! make those borrows cheap and `Sync`. Lending a borrowed job to the
+//! long-lived helpers erases its lifetime in the crate's one `unsafe`
+//! block, inside the private `pool` module, whose protocol keeps every
+//! helper out of the job before the call returns.
 //!
 //! Invariants every helper upholds:
 //!
 //! * **Determinism** — outputs are ordered by morsel index, never by
 //!   completion order. `threads = 1` (the default) runs inline on the
-//!   caller's thread with no pool at all, byte-identical to a plain loop.
+//!   caller's thread and never starts the pool, byte-identical to a
+//!   plain loop.
 //! * **Error discipline** — the `try_*` variants cancel outstanding
 //!   morsels and return the error of the *lowest-indexed* failing morsel,
 //!   matching what the serial loop would have reported first.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 pub use bi_obs::{Counter, Obs, ObsSnapshot, Span, SpanKind, SpanStat, TraceId};
 
@@ -71,7 +85,8 @@ pub struct ExecConfig {
     /// [`effective_parallelism`] clamp in [`ExecConfig::effective_threads`].
     /// Oracle tests and benches use this to exercise the morsel workers
     /// deterministically on any host, including a 1-core CI box where
-    /// the clamp would otherwise run every loop inline.
+    /// the clamp would otherwise run every loop inline; the helper pool
+    /// grows to serve a pinned request.
     pub pinned: bool,
     /// Bound on the process-wide version-keyed column chunk cache, in
     /// cached columns. `0` disables caching entirely (every conversion
@@ -174,7 +189,7 @@ impl ExecConfig {
         ExecConfig { pinned, ..self }
     }
 
-    /// Threads the morsel helpers actually spawn: the requested count
+    /// Workers a morsel loop actually runs on: the requested count
     /// clamped by what the host can run in parallel
     /// ([`effective_parallelism`]), unless `pinned`. A request for 8
     /// threads on a 1-core host runs inline — fanning out past the
@@ -214,9 +229,9 @@ impl ExecConfig {
         self.threads <= 1
     }
 
-    /// Workers actually worth spawning for `tasks` units of work:
+    /// Workers actually worth running for `tasks` units of work:
     /// effective threads (host-clamped unless pinned), never more than
-    /// the tasks. Spawning past the hardware buys contention, not
+    /// the tasks. Fanning out past the hardware buys contention, not
     /// concurrency — the morsel helpers run inline at one worker.
     fn workers_for(&self, tasks: usize) -> usize {
         self.effective_threads().min(tasks).max(1)
@@ -288,11 +303,12 @@ where
 /// any thread count.
 ///
 /// This is the crate's one scheduler; every other helper is a view of
-/// it. Workers claim range indices from a shared counter in increasing
+/// it. Workers — the calling thread and up to `workers − 1` pool
+/// helpers — claim range indices from a shared counter in increasing
 /// order, so when range `m` fails every lower range has been claimed and
 /// runs to completion: the lowest failing index is always observed. A
 /// worker panic is re-raised on the caller's thread with its original
-/// payload once every worker has stopped.
+/// payload once every worker has left the job.
 pub fn try_par_ranges<U, E, F>(
     cfg: &ExecConfig,
     len: usize,
@@ -308,61 +324,225 @@ where
     let n_morsels = len.div_ceil(morsel);
     let range = |m: usize| (m * morsel, ((m + 1) * morsel).min(len));
     let workers = cfg.workers_for(n_morsels);
-    if workers <= 1 {
-        return (0..n_morsels)
-            .map(|m| {
+    if workers > 1 {
+        let next = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        // Every completed `(morsel, output)` pair, and the lowest-indexed
+        // failure seen.
+        let outcome = Mutex::new((
+            Vec::<(usize, U)>::with_capacity(n_morsels),
+            None::<(usize, E)>,
+        ));
+        let work = || {
+            let mut local: Vec<(usize, U)> = Vec::new();
+            let mut err: Option<(usize, E)> = None;
+            while !failed.load(Ordering::Relaxed) {
+                let m = next.fetch_add(1, Ordering::Relaxed);
+                if m >= n_morsels {
+                    break;
+                }
                 let (start, end) = range(m);
-                f(start, end)
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let mut done: Vec<(usize, U)> = Vec::with_capacity(n_morsels);
-    let mut first_err: Option<(usize, E)> = None;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local: Vec<(usize, U)> = Vec::new();
-                    let mut err: Option<(usize, E)> = None;
-                    while !failed.load(Ordering::Relaxed) {
-                        let m = next.fetch_add(1, Ordering::Relaxed);
-                        if m >= n_morsels {
-                            break;
-                        }
-                        let (start, end) = range(m);
-                        match f(start, end) {
-                            Ok(u) => local.push((m, u)),
-                            Err(e) => {
-                                err = Some((m, e));
-                                failed.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
+                match f(start, end) {
+                    Ok(u) => local.push((m, u)),
+                    Err(e) => {
+                        err = Some((m, e));
+                        failed.store(true, Ordering::Relaxed);
+                        break;
                     }
-                    (local, err)
-                })
-            })
-            .collect();
-        for h in handles {
-            // A worker fails only by panicking inside `f`; the scope
-            // joins the others before the panic leaves it.
-            let (local, err) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            done.extend(local);
+                }
+            }
+            let mut out = outcome.lock().unwrap_or_else(PoisonError::into_inner);
+            out.0.extend(local);
             if let Some((m, e)) = err {
-                if first_err.as_ref().is_none_or(|(fm, _)| m < *fm) {
-                    first_err = Some((m, e));
+                if out.1.as_ref().is_none_or(|(fm, _)| m < *fm) {
+                    out.1 = Some((m, e));
+                }
+            }
+        };
+        if pool::run(workers - 1, &work) {
+            let (mut done, first_err) =
+                outcome.into_inner().unwrap_or_else(PoisonError::into_inner);
+            if let Some((_, e)) = first_err {
+                return Err(e);
+            }
+            // No error, so every range completed exactly once.
+            done.sort_unstable_by_key(|(m, _)| *m);
+            return Ok(done.into_iter().map(|(_, u)| u).collect());
+        }
+    }
+    (0..n_morsels)
+        .map(|m| {
+            let (start, end) = range(m);
+            f(start, end)
+        })
+        .collect()
+}
+
+/// The process-wide helper pool behind [`try_par_ranges`].
+///
+/// One job runs at a time. The caller *holds* the pool from publishing
+/// its job until the last helper has left it; a call that finds the
+/// pool held — nested inside a running job, or concurrent with another
+/// thread's — gets `false` from [`run`] and runs its morsels inline.
+/// Helpers are started lazily, never more than one call has asked for
+/// (unpinned calls ask for at most `effective_parallelism() − 1`), and
+/// park on a condition variable between jobs.
+mod pool {
+    use std::any::Any;
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+    use std::thread;
+
+    /// A published job as the helpers see it: the caller's borrowed
+    /// worker loop with its lifetime erased (see [`run`]).
+    type Job = &'static (dyn Fn() + Sync);
+
+    struct Pool {
+        /// Set while one caller's job holds the pool.
+        held: AtomicBool,
+        state: Mutex<State>,
+        /// Signalled when a job is published; parked helpers wait on it.
+        published: Condvar,
+        /// Signalled when the last helper leaves a job; the caller
+        /// waits on it.
+        drained: Condvar,
+    }
+
+    struct State {
+        /// The published job; `None` once the caller retracts it.
+        job: Option<Job>,
+        /// Helpers that may still join the published job.
+        wanted: usize,
+        /// Helpers inside the job right now.
+        active: usize,
+        /// Helper threads started so far.
+        helpers: usize,
+        /// The payload of a panic that escaped the job on a helper.
+        panic: Option<Box<dyn Any + Send>>,
+    }
+
+    static POOL: Pool = Pool {
+        held: AtomicBool::new(false),
+        state: Mutex::new(State {
+            job: None,
+            wanted: 0,
+            active: 0,
+            helpers: 0,
+            panic: None,
+        }),
+        published: Condvar::new(),
+        drained: Condvar::new(),
+    };
+
+    /// Runs `job` on the calling thread alongside up to `helpers` pool
+    /// helpers and returns `true` once every one of them has left it,
+    /// re-raising a panic that escaped the job on any of them. Returns
+    /// `false` without running `job` when the pool is held: the caller
+    /// then does the work inline. `job` is a worker loop: any number of
+    /// threads may run it at once, each returning when no work is left.
+    pub(super) fn run(helpers: usize, job: &(dyn Fn() + Sync)) -> bool {
+        // Acquire pairs with the Release that ends the previous holder's
+        // job, so this holder starts after that one finished.
+        if POOL.held.swap(true, Ordering::Acquire) {
+            return false;
+        }
+        // SAFETY: `erased` is the same reference with its lifetime
+        // widened to `'static`; it is dereferenced only by helpers, and
+        // only while `job` is still borrowed by this call:
+        // - the job is published under the lock, below;
+        // - a helper joins only while the job is published, under the
+        //   lock, counting itself in `active`, and counts itself out
+        //   under the lock once it has returned from the job;
+        // - this call retracts the job under the lock and then waits
+        //   until `active` is zero before it returns;
+        // - it does so also when its own share of the job panicked:
+        //   `catch_unwind` holds that panic until the helpers are out,
+        //   and only then resumes it.
+        // So every use of `erased` happens before `run` returns, and the
+        // borrow it came from outlives all of them.
+        let erased: Job = unsafe { std::mem::transmute::<&(dyn Fn() + Sync + '_), Job>(job) };
+        {
+            let mut st = lock();
+            while st.helpers < helpers {
+                // A helper that fails to start is simply absent; the
+                // other workers run its morsels.
+                if thread::Builder::new()
+                    .name("bi-exec-helper".into())
+                    .spawn(help)
+                    .is_err()
+                {
+                    break;
+                }
+                st.helpers += 1;
+            }
+            st.job = Some(erased);
+            st.wanted = helpers.min(st.helpers);
+            for _ in 0..st.wanted {
+                POOL.published.notify_one();
+            }
+        }
+        let own = panic::catch_unwind(AssertUnwindSafe(job));
+        let escaped = {
+            let mut st = lock();
+            st.job = None;
+            st.wanted = 0;
+            while st.active > 0 {
+                st = POOL
+                    .drained
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            st.panic.take()
+        };
+        POOL.held.store(false, Ordering::Release);
+        if let Err(payload) = own {
+            panic::resume_unwind(payload);
+        }
+        if let Some(payload) = escaped {
+            panic::resume_unwind(payload);
+        }
+        true
+    }
+
+    /// A helper thread's life: park until a job is published with room
+    /// for it, run it, report out, repeat. A helper that rejoins the job
+    /// it just left finds no morsel left and leaves at once. Helpers live
+    /// as long as the process and catch whatever their job raises, so
+    /// nothing is lost by never joining them.
+    fn help() {
+        let mut st = lock();
+        loop {
+            match st.job {
+                Some(job) if st.wanted > 0 => {
+                    st.wanted -= 1;
+                    st.active += 1;
+                    drop(st);
+                    let ran = panic::catch_unwind(AssertUnwindSafe(job));
+                    st = lock();
+                    if let Err(payload) = ran {
+                        st.panic.get_or_insert(payload);
+                    }
+                    st.active -= 1;
+                    if st.active == 0 {
+                        POOL.drained.notify_one();
+                    }
+                }
+                _ => {
+                    st = POOL
+                        .published
+                        .wait(st)
+                        .unwrap_or_else(PoisonError::into_inner)
                 }
             }
         }
-    });
-    if let Some((_, e)) = first_err {
-        return Err(e);
     }
-    // No error, so every range completed exactly once.
-    done.sort_unstable_by_key(|(m, _)| *m);
-    Ok(done.into_iter().map(|(_, u)| u).collect())
+
+    /// The pool state. No code panics while holding the lock, and every
+    /// update leaves the state valid, so a poisoned lock is recovered.
+    fn lock() -> MutexGuard<'static, State> {
+        POOL.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Morsel width that keeps `workers × 8` morsels in flight for
@@ -562,6 +742,36 @@ mod tests {
         assert!(par_chunks(&cfg, &none, 16, |_, c| c.len()).is_empty());
         let r: Result<Vec<u32>, ()> = try_par_map(&cfg, &none, |x| Ok(*x));
         assert!(r.unwrap().is_empty());
+    }
+
+    #[test]
+    fn nested_fan_out_stays_within_the_host_cores() {
+        // Unpinned, as production runs it: a batch whose every render
+        // fans out again. Inner calls run inline on the outer call's
+        // workers, so no more bodies run at once than the host has
+        // cores, however deep the calls nest.
+        let cfg = ExecConfig::auto();
+        let running = AtomicUsize::new(0);
+        let high = AtomicUsize::new(0);
+        let out = par_ranges(&cfg, 8, 1, |outer, _| {
+            par_ranges(&cfg, 8, 1, |inner, _| {
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                high.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                running.fetch_sub(1, Ordering::SeqCst);
+                outer * 8 + inner
+            })
+        });
+        let serial: Vec<Vec<usize>> = (0..8)
+            .map(|outer| (0..8).map(|inner| outer * 8 + inner).collect())
+            .collect();
+        assert_eq!(out, serial);
+        let high = high.load(Ordering::SeqCst);
+        assert!(
+            high <= effective_parallelism(),
+            "{high} inner bodies ran at once on {} cores",
+            effective_parallelism()
+        );
     }
 
     #[test]

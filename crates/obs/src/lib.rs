@@ -37,6 +37,7 @@
 //! metadata, not identity.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -34,6 +34,7 @@
 //! * [`subject`] — consumers and their roles.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod check;
 pub mod combine;

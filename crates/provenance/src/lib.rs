@@ -20,6 +20,7 @@
 //!   resolution — who is responsible for a leaked value).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod annotated;
 pub mod lineage;

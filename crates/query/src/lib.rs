@@ -26,6 +26,7 @@
 // lookup either has a typed error or degrades (e.g. columnar → row
 // fallback). Tests may still unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod catalog;
 pub mod contain;

@@ -24,6 +24,7 @@
 //! * [`error`] — the crate error type.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod column;
 pub mod csv;

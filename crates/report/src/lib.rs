@@ -23,6 +23,7 @@
 //!   retire reports over epochs), the driver for experiment E5.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod comply;
 pub mod engine;

@@ -17,6 +17,8 @@
 //!   taxonomies (as edge lists, so no dependency on `bi-anonymize`);
 //! * [`scenario`] — the multi-source generator.
 
+#![forbid(unsafe_code)]
+
 pub mod fixtures;
 pub mod names;
 pub mod scenario;

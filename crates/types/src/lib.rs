@@ -17,6 +17,7 @@
 //! builds bottom-up from this crate.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod date;
 pub mod error;

@@ -20,6 +20,7 @@
 //!   delivery read.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod authz;
 pub mod cube;

@@ -5,8 +5,10 @@
 #
 #   1. release build (the bench binaries need it anyway);
 #   2. the root integration suites plus every crate's unit tests, the
-#      seven examples run in release (each must exit 0), and the
-#      end-to-end benchmark's quick tests (`bench_e2e`);
+#      bi-exec suites again optimized (the helper pool's stress test
+#      must also hold at release speed), the seven examples run in
+#      release (each must exit 0), and the end-to-end benchmark's quick
+#      tests (`bench_e2e`);
 #   3. rustfmt over every first-party package (`vendor/` is excluded —
 #      vendored sources stay byte-identical to upstream);
 #   4. clippy over all targets with warnings denied — and every
@@ -30,6 +32,7 @@ cargo build --release
 echo "== tests =="
 cargo test -q
 cargo test --workspace -q
+cargo test --release -q -p bi-exec
 
 echo "== examples =="
 # Each example drives the public API end to end on seeded data; run

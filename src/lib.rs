@@ -73,6 +73,8 @@
 //! assert_eq!(system.audit_log().deliveries().count(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use bi_core as core;
 pub use bi_core::{
     anonymize, audit, etl, exec, pla, provenance, query, relation, report, types, warehouse,
