@@ -74,7 +74,7 @@ pub fn recheck_log(
 /// Replays all deliveries, checking each against the policy snapshot
 /// whose epoch the entry was journaled under.
 ///
-/// `snapshots` maps policy-cache epochs to the combined policy that was
+/// `snapshots` maps policy epochs to the combined policy that was
 /// live at that epoch (the engine facade keeps this history,
 /// Arc-shared — no policies are copied). Entries whose epoch has no
 /// snapshot fall back to `current`, flagged

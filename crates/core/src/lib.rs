@@ -26,6 +26,7 @@
 pub mod continuum;
 pub mod elicitation;
 pub mod negotiation;
+mod policy;
 mod render_cache;
 mod scheduler;
 pub mod storage;

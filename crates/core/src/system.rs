@@ -3,14 +3,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bi_audit::{AuditLog, Outcome, Provenance, SnapshotFidelity};
 use bi_etl::{check_pipeline, run_pipeline_with, EtlReport, Pipeline};
 use bi_exec::{Counter, SpanKind, TraceId};
-use bi_pla::{
-    CheckProgram, CombinedPolicy, EnforcementKey, PlaDocument, SubjectRegistry, Violation,
-};
+use bi_pla::{CheckProgram, CombinedPolicy, PlaDocument, SubjectRegistry, Violation};
 use bi_query::Catalog;
 use bi_report::{
     render_checked, ComplianceResult, EnforcedReport, EngineConfig, MetaIndex, MetaReport,
@@ -19,14 +17,12 @@ use bi_report::{
 use bi_types::{ConsumerId, Date, ReportId, RoleId, SourceId};
 use bi_warehouse::{Warehouse, WarehouseSnapshot};
 
-use crate::render_cache::{RenderCache, DEFAULT_CAPACITY as DEFAULT_RENDER_CACHE_CAPACITY};
+use crate::policy::PolicyState;
+use crate::render_cache::RenderCache;
 use crate::scheduler::{self, RenderedDelivery, Slot};
 use crate::wal::{self, EtlTable, WalError, WalRecord, WalWriter};
 
-/// Policy snapshots kept in the epoch-keyed history by default. Each is
-/// one `Arc` plus the combined policy (small); the bound only matters
-/// for systems whose PLAs churn for years within one process.
-pub const DEFAULT_POLICY_HISTORY_RETENTION: usize = 1024;
+pub use crate::policy::DEFAULT_POLICY_HISTORY_RETENTION;
 
 /// Errors surfaced by the facade.
 #[derive(Debug)]
@@ -82,43 +78,19 @@ impl From<bi_query::QueryError> for SystemError {
     }
 }
 
-/// Epoch-keyed cache of the combined policies. The epoch counts PLA
-/// mutations; a cached entry is valid only while its epoch matches the
-/// system's current one, so any `add_pla` / `add_pla_text` /
-/// `add_meta_report` invalidates it without touching the cache itself.
-struct PolicyCache {
-    epoch: u64,
-    /// Every document + every meta-report annotation ([`BiSystem::policy`]).
-    full: Arc<CombinedPolicy>,
-    /// Documents + annotations of *approved* meta-reports only — the
-    /// policy the compliance gate binds.
-    gate: Arc<CombinedPolicy>,
+/// A defined report and the check programs compiled for it, which
+/// leave with the definition when it is replaced or removed.
+struct DefinedReport {
+    spec: Arc<ReportSpec>,
+    /// The delivery-policy and gate-policy programs (indexed by
+    /// `gate as usize`), each with the revision it was compiled at.
+    programs: Mutex<[Option<(u64, CheckProgram)>; 2]>,
 }
 
-/// Cache plus the epoch-keyed history of combined policies. The history
-/// outlives cache invalidation: every epoch whose policy ever served a
-/// request keeps its snapshot, so [`BiSystem::recheck_at_delivery`] can
-/// replay a journal entry against the exact policy that gated it.
-#[derive(Default)]
-struct PolicyCacheState {
-    current: Option<PolicyCache>,
-    history: BTreeMap<u64, Arc<CombinedPolicy>>,
-    /// Compiled [`CheckProgram`]s per report, keyed `gate?`: the gate
-    /// policy (approved meta-reports only) compiles differently from the
-    /// full delivery policy. Entries are valid only while both the
-    /// policy epoch and the data epoch they were compiled under match.
-    programs: BTreeMap<(ReportId, bool), CachedProgram>,
-    /// PLA-id binding list for delivery documents, rebuilt only when a
-    /// PLA mutation bumps the epoch (it is derived from `documents` +
-    /// meta-report annotations, exactly what the epoch counts).
-    binding: Option<(u64, Arc<Vec<bi_types::PlaId>>)>,
-}
-
-/// One cached compiled check program with its validity key.
-struct CachedProgram {
-    policy_epoch: u64,
-    data_epoch: u64,
-    program: CheckProgram,
+impl DefinedReport {
+    fn programs(&self) -> MutexGuard<'_, [Option<(u64, CheckProgram)>; 2]> {
+        self.programs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The whole outsourced-BI deployment: sources + PLAs + ETL + warehouse
@@ -129,62 +101,48 @@ pub struct BiSystem {
     /// Full attribution: every source feeding each table (a warehouse
     /// table built by joining/linking carries them all).
     table_sources_all: BTreeMap<String, Vec<SourceId>>,
-    documents: Vec<PlaDocument>,
+    policies: PolicyState,
     warehouse: Warehouse,
-    metas: Vec<MetaReport>,
-    reports: BTreeMap<ReportId, Arc<ReportSpec>>,
+    reports: BTreeMap<ReportId, DefinedReport>,
     subjects: SubjectRegistry,
     log: AuditLog,
     engine: EngineConfig,
     today: Date,
-    /// Bumped on every PLA mutation; keys [`PolicyCache`].
-    policy_epoch: u64,
-    /// Bumped whenever the warehouse catalog or source attribution can
-    /// change (source registration, ETL loads, mutable warehouse
-    /// access); keys [`CachedProgram`] together with the policy epoch.
-    data_epoch: u64,
-    policy_cache: Mutex<PolicyCacheState>,
+    /// Bumped by every mutation of what a render or a check program
+    /// reads: sources and their attribution, PLAs, warehouse data,
+    /// report definitions and the engine. Check programs and cached
+    /// renders are reused only at the revision they were made at.
+    revision: u64,
     /// Next delivery trace number; trace 0 is reserved for entries
     /// journaled outside a live engine ([`Provenance::default`]).
     next_trace: u64,
-    /// Cross-batch render cache keyed by [`EnforcementKey`].
+    /// Cross-batch render cache, holding renders of one revision.
     render_cache: RenderCache,
     /// Write-ahead log, when [`BiSystem::enable_wal`] attached one.
     /// `None` during WAL replay (recovery must not re-log itself) and
     /// after an append error (logging stops, serving continues).
     wal: Option<WalWriter>,
-    /// Bound on the epoch-keyed policy-snapshot history.
-    policy_history_retain: usize,
 }
 
 impl BiSystem {
     /// A fresh system at the given business date.
     pub fn new(today: Date) -> Self {
-        let sys = BiSystem {
+        BiSystem {
             sources: BTreeMap::new(),
             table_source: BTreeMap::new(),
             table_sources_all: BTreeMap::new(),
-            documents: Vec::new(),
+            policies: PolicyState::new(),
             warehouse: Warehouse::new(),
-            metas: Vec::new(),
             reports: BTreeMap::new(),
             subjects: SubjectRegistry::new(),
             log: AuditLog::new(),
             engine: EngineConfig::default(),
             today,
-            policy_epoch: 0,
-            data_epoch: 0,
-            policy_cache: Mutex::new(PolicyCacheState::default()),
+            revision: 0,
             next_trace: 1,
-            render_cache: RenderCache::new(DEFAULT_RENDER_CACHE_CAPACITY),
+            render_cache: RenderCache::default(),
             wal: None,
-            policy_history_retain: DEFAULT_POLICY_HISTORY_RETENTION,
-        };
-        // Epoch 0 (the empty policy) goes into the history eagerly, like
-        // every later epoch: entries journaled before the first PLA must
-        // recheck against what actually gated them.
-        sys.snapshot_policies();
-        sys
+        }
     }
 
     /// Assigns the next delivery trace id (request order).
@@ -212,133 +170,58 @@ impl BiSystem {
                 .insert(t.to_string(), vec![sid.clone()]);
         }
         self.sources.insert(sid, catalog);
-        self.data_epoch += 1;
-        // Source attribution feeds join-permission checks but is not
-        // part of the enforcement key — drop cached renders outright.
-        self.render_cache.clear();
+        self.revision += 1;
         self.wal_append(logged);
     }
 
     /// Registers a PLA document (from any level).
     pub fn add_pla(&mut self, doc: PlaDocument) {
         let dsl = doc.to_string();
-        self.documents.push(doc);
-        self.policy_epoch += 1;
+        self.policies.add_documents([doc]);
+        self.revision += 1;
         self.wal_append(WalRecord::AddPla { dsl });
-        self.snapshot_policies();
     }
 
     /// Parses and registers PLA documents from DSL text.
     pub fn add_pla_text(&mut self, text: &str) -> Result<usize, bi_pla::PlaError> {
         let docs = bi_pla::dsl::parse_documents(text)?;
         let n = docs.len();
-        self.documents.extend(docs);
-        self.policy_epoch += 1;
+        self.policies.add_documents(docs);
+        self.revision += 1;
         // The WAL keeps the caller's text verbatim — replay re-parses
         // exactly what was registered, one epoch bump per call.
         self.wal_append(WalRecord::AddPla {
             dsl: text.to_string(),
         });
-        self.snapshot_policies();
         Ok(n)
-    }
-
-    /// Eagerly records the current epoch's combined policy in the
-    /// snapshot history. Called by every policy mutation path (and at
-    /// construction), so the history holds EVERY epoch the system ever
-    /// sat at — not just the epochs that happened to serve a request
-    /// before the next mutation. Without this, a delivery journaled
-    /// after two back-to-back `add_pla` calls would reference an epoch
-    /// whose policy was never combined, and a later recheck would fall
-    /// back to current policy for an entry whose serving conditions
-    /// were perfectly knowable.
-    fn snapshot_policies(&self) {
-        let _ = self.policies();
     }
 
     /// Bounds the epoch-keyed policy-snapshot history (at least 1),
     /// evicting oldest epochs immediately. Rechecks of entries whose
     /// epoch aged out fall back — flagged — to the current policy.
     pub fn set_policy_history_retention(&mut self, retain: usize) {
-        self.policy_history_retain = retain.max(1);
-        let cache = self
-            .policy_cache
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        while cache.history.len() > self.policy_history_retain {
-            cache.history.pop_first();
-        }
-    }
-
-    /// Both combined policies, recombining only when a PLA mutation has
-    /// bumped the epoch since the last call.
-    fn policies(&self) -> (Arc<CombinedPolicy>, Arc<CombinedPolicy>) {
-        let mut cache = self
-            .policy_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(c) = cache.current.as_ref() {
-            if c.epoch == self.policy_epoch {
-                self.engine.exec.obs.count(Counter::PolicyCacheHit);
-                return (Arc::clone(&c.full), Arc::clone(&c.gate));
-            }
-        }
-        self.engine.exec.obs.count(Counter::PolicyCacheMiss);
-        let full_docs: Vec<PlaDocument> = self
-            .documents
-            .iter()
-            .chain(self.metas.iter().flat_map(|m| m.annotations.iter()))
-            .cloned()
-            .collect();
-        let gate_docs: Vec<PlaDocument> = self
-            .documents
-            .iter()
-            .chain(
-                self.metas
-                    .iter()
-                    .filter(|m| m.is_approved())
-                    .flat_map(|m| m.annotations.iter()),
-            )
-            .cloned()
-            .collect();
-        let full = Arc::new(CombinedPolicy::combine(&full_docs));
-        let gate = Arc::new(CombinedPolicy::combine(&gate_docs));
-        cache.history.insert(self.policy_epoch, Arc::clone(&full));
-        while cache.history.len() > self.policy_history_retain {
-            cache.history.pop_first();
-        }
-        cache.current = Some(PolicyCache {
-            epoch: self.policy_epoch,
-            full: Arc::clone(&full),
-            gate: Arc::clone(&gate),
-        });
-        (full, gate)
+        self.policies.set_retention(retain);
     }
 
     /// The combined (most-restrictive-wins) policy over every document
-    /// registered so far, including meta-report annotations. Cached:
-    /// repeated calls share one combination until the next PLA mutation
-    /// (`add_pla`, `add_pla_text`, `add_meta_report`) invalidates it.
+    /// registered so far, including meta-report annotations. Combined
+    /// once per PLA mutation (`add_pla`, `add_pla_text`,
+    /// `add_meta_report`); calls in between share it.
     pub fn policy(&self) -> Arc<CombinedPolicy> {
-        self.policies().0
+        Arc::clone(self.policies.full())
     }
 
-    /// The policy the compliance gate binds: documents + annotations of
-    /// approved meta-reports only.
-    fn gate_policy(&self) -> Arc<CombinedPolicy> {
-        self.policies().1
-    }
-
-    /// Consumer/role registry.
+    /// Consumer/role registry. Role grants need no new revision: the
+    /// render key holds the effective role set, and check programs never
+    /// read subjects.
     pub fn subjects_mut(&mut self) -> &mut SubjectRegistry {
         &mut self.subjects
     }
 
     /// Engine configuration (pseudonym keys, hierarchies). Engine knobs
-    /// change render output without bumping any epoch the enforcement
-    /// key sees, so handing out mutable access drops cached renders.
+    /// change render output, so mutable access starts a new revision.
     pub fn engine_mut(&mut self) -> &mut EngineConfig {
-        self.render_cache.clear();
+        self.revision += 1;
         &mut self.engine
     }
 
@@ -347,15 +230,11 @@ impl BiSystem {
         &self.warehouse
     }
 
-    /// Mutable warehouse access (dimension/fact registration). Bumps the
-    /// data epoch: the caller may change the catalog, which compiled
-    /// check programs depend on.
+    /// Mutable warehouse access (dimension/fact registration). Starts a
+    /// new revision: the caller may change the catalog, which renders
+    /// and compiled check programs read.
     pub fn warehouse_mut(&mut self) -> &mut Warehouse {
-        self.data_epoch += 1;
-        // Table content changes re-key naturally (storage versions),
-        // but schema/refs surgery through this handle might not; keep
-        // the invariant simple and drop cached renders.
-        self.render_cache.clear();
+        self.revision += 1;
         &mut self.warehouse
     }
 
@@ -415,7 +294,7 @@ impl BiSystem {
                 sources: srcs.clone(),
             });
         }
-        self.data_epoch += 1;
+        self.revision += 1;
         if evicted > 0 {
             self.engine
                 .exec
@@ -435,23 +314,20 @@ impl BiSystem {
             annotations: meta.annotations.iter().map(|d| d.to_string()).collect(),
             approved_by: meta.approved_by.clone(),
         };
-        self.metas.push(meta);
-        self.policy_epoch += 1;
+        self.policies.add_meta(meta);
+        self.revision += 1;
         self.wal_append(logged);
-        self.snapshot_policies();
     }
 
     /// Approved meta-reports.
     pub fn meta_reports(&self) -> &[MetaReport] {
-        &self.metas
+        self.policies.metas()
     }
 
     /// Defines (or replaces) a report. Stored behind an [`Arc`] so
     /// delivery can hold the spec while mutating the audit log, without
     /// deep-copying the plan.
     pub fn define_report(&mut self, report: ReportSpec) {
-        self.evict_programs(&report.id);
-        self.render_cache.evict_report(&report.id);
         self.wal_append(WalRecord::DefineReport {
             id: report.id.clone(),
             title: report.title.clone(),
@@ -459,15 +335,19 @@ impl BiSystem {
             consumers: report.consumers.iter().cloned().collect(),
             purpose: report.purpose.clone(),
         });
-        self.reports.insert(report.id.clone(), Arc::new(report));
+        let defined = DefinedReport {
+            spec: Arc::new(report),
+            programs: Mutex::default(),
+        };
+        self.reports.insert(defined.spec.id.clone(), defined);
+        self.revision += 1;
     }
 
     /// Removes a report definition.
     pub fn remove_report(&mut self, id: &ReportId) -> bool {
-        self.evict_programs(id);
-        self.render_cache.evict_report(id);
         let removed = self.reports.remove(id).is_some();
         if removed {
+            self.revision += 1;
             self.wal_append(WalRecord::RemoveReport { id: id.clone() });
         }
         removed
@@ -485,24 +365,11 @@ impl BiSystem {
         self.wal_append(WalRecord::Grant { consumer, role });
     }
 
-    /// Drops the cached check programs of one report (both policy
-    /// flavors) — its plan is being replaced or removed.
-    fn evict_programs(&mut self, id: &ReportId) {
-        let cache = self
-            .policy_cache
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        cache.programs.remove(&(id.clone(), false));
-        cache.programs.remove(&(id.clone(), true));
-    }
-
-    /// Compiled check program for `report` under `policy`, cached per
-    /// (policy epoch, data epoch): one compile serves every consumer and
-    /// delivery of the report until a PLA mutation, a data load, or a
-    /// report redefinition invalidates it. `gate` keys the two policy
-    /// flavors separately ([`BiSystem::gate_policy`] vs the full
-    /// delivery policy) — callers must pass the flavor matching the
-    /// policy they hand in.
+    /// Compiled check program for `report` under `policy`: one compile
+    /// per revision serves every consumer and delivery of the report.
+    /// `gate` picks the program of the gate policy (approved
+    /// meta-reports only) over that of the full delivery policy —
+    /// callers must pass the flavor matching the policy they hand in.
     fn check_program(
         &self,
         report: &ReportSpec,
@@ -510,56 +377,45 @@ impl BiSystem {
         gate: bool,
         cat: &Catalog,
     ) -> Result<CheckProgram, bi_query::QueryError> {
-        let key = (report.id.clone(), gate);
-        {
-            let cache = self
-                .policy_cache
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(c) = cache.programs.get(&key) {
-                if c.policy_epoch == self.policy_epoch && c.data_epoch == self.data_epoch {
-                    self.engine.exec.obs.count(Counter::CheckProgramCacheHit);
-                    return Ok(c.program.clone());
+        let obs = &self.engine.exec.obs;
+        let slot = usize::from(gate);
+        // Every caller resolved `report` from `self.reports` at this
+        // revision, so its entry holds the programs.
+        let defined = self.reports.get(&report.id);
+        if let Some(d) = defined {
+            if let Some((revision, program)) = &d.programs()[slot] {
+                if *revision == self.revision {
+                    obs.count(Counter::CheckProgramCacheHit);
+                    return Ok(program.clone());
                 }
             }
         }
         // Compile outside the lock: a batch render's first concurrent
         // misses may compile redundantly, but never block each other.
-        self.engine.exec.obs.count(Counter::CheckProgramCacheMiss);
+        obs.count(Counter::CheckProgramCacheMiss);
         let program = CheckProgram::compile(&report.plan, cat, policy, &self.table_source)?;
-        let mut cache = self
-            .policy_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        cache.programs.insert(
-            key,
-            CachedProgram {
-                policy_epoch: self.policy_epoch,
-                data_epoch: self.data_epoch,
-                program: program.clone(),
-            },
-        );
+        if let Some(d) = defined {
+            d.programs()[slot] = Some((self.revision, program.clone()));
+        }
         Ok(program)
     }
 
     /// All defined reports.
     pub fn reports(&self) -> impl Iterator<Item = &ReportSpec> {
-        self.reports.values().map(Arc::as_ref)
+        self.reports.values().map(|r| r.spec.as_ref())
     }
 
     /// Join-permission violations across the FULL source attribution of
-    /// every base table the plan touches. `bi_pla::check_plan` sees one
+    /// every base table in `tables`. `bi_pla::check_plan` sees one
     /// source per table; warehouse tables built from several sources
     /// need every pair checked.
     fn multi_source_violations(
         &self,
-        plan: &bi_query::Plan,
+        tables: &BTreeSet<String>,
         policy: &CombinedPolicy,
-        cat: &Catalog,
-    ) -> Result<Vec<Violation>, SystemError> {
-        let o = bi_query::origins::origins(plan, cat).map_err(SystemError::from)?;
+    ) -> Vec<Violation> {
         let mut sources: BTreeSet<&SourceId> = BTreeSet::new();
-        for t in &o.tables {
+        for t in tables {
             if let Some(all) = self.table_sources_all.get(t) {
                 sources.extend(all.iter());
             }
@@ -578,32 +434,33 @@ impl BiSystem {
                 }
             }
         }
-        Ok(out)
+        out
     }
 
     /// Runs the compliance gate for a report (coverage + rule check).
     pub fn check(&self, id: &ReportId) -> Result<ComplianceResult, SystemError> {
-        let report = self
+        let report = &self
             .reports
             .get(id)
-            .ok_or_else(|| SystemError::UnknownReport(id.clone()))?;
+            .ok_or_else(|| SystemError::UnknownReport(id.clone()))?
+            .spec;
         let cat = self.warehouse.catalog();
         // 1. Coverage: find an approved meta-report the plan derives from.
-        let index = MetaIndex::build(&self.metas, cat).map_err(SystemError::from)?;
+        let index = MetaIndex::build(self.policies.metas(), cat).map_err(SystemError::from)?;
         let coverage = index.cover(&report.plan, cat, self.warehouse.refs())?;
-        // 2. Rule check: the compiled program is cached per (policy
-        //    epoch, data epoch), so repeated checks and deliveries of
-        //    the same report share one compile.
+        // 2. Rule check: the compiled program is kept for the revision,
+        //    so repeated checks and deliveries of the same report share
+        //    one compile.
         let outcome = self
-            .check_program(report, &self.gate_policy(), true, cat)?
+            .check_program(report, self.policies.gate(), true, cat)?
             .run(&report.consumers, report.purpose.as_deref(), self.today)?;
         let mut result = ComplianceResult {
             coverage,
             violations: outcome.violations,
             obligations: outcome.obligations,
         };
-        let extra = self.multi_source_violations(&report.plan, &self.policy(), cat)?;
-        for v in extra {
+        let tables = bi_query::origins::origins(&report.plan, cat)?.tables;
+        for v in self.multi_source_violations(&tables, self.policies.full()) {
             if !result.violations.contains(&v) {
                 result.violations.push(v);
             }
@@ -641,7 +498,10 @@ impl BiSystem {
                 subject: report.id.to_string(),
             });
         }
-        upfront.extend(self.multi_source_violations(&report.plan, policy, cat)?);
+        // One origins analysis serves the join check here and the
+        // journaled provenance below.
+        let tables = bi_query::origins::origins(&report.plan, cat)?.tables;
+        upfront.extend(self.multi_source_violations(&tables, policy));
 
         // Compliance + enforcement: fetch the plan's compiled check
         // program (cached across consumers and deliveries of this
@@ -662,24 +522,18 @@ impl BiSystem {
         // bypass the journal, exactly as before.
         let outcome = RenderOutcome::from_result(result).map_err(SystemError::Report)?;
         // The data half of the provenance: the pinned *data* versions of
-        // every base table this render (or refusal) read. Deliberately
-        // not the raw storage versions — those are process-unique
-        // allocation ids (fine for the in-process render-cache key,
-        // useless in a durable journal): data versions replay
-        // identically across processes and after WAL recovery. Version
-        // 0 marks a table the warehouse never loaded (a view or a raw
-        // catalog write); a recheck of such an entry falls back,
-        // flagged, to current data.
-        let source_versions = bi_query::source_versions(&report.plan, cat)
-            .map(|v| {
-                v.into_iter()
-                    .map(|(name, _)| {
-                        let version = snap.data_version(&name);
-                        (name, version)
-                    })
-                    .collect()
+        // every base table this render (or refusal) read, sorted by
+        // table. Data versions replay identically across processes and
+        // after WAL recovery. Version 0 marks a table the warehouse
+        // never loaded (a view or a raw catalog write); a recheck of
+        // such an entry falls back, flagged, to current data.
+        let source_versions = tables
+            .into_iter()
+            .map(|name| {
+                let version = snap.data_version(&name);
+                (name, version)
             })
-            .unwrap_or_default();
+            .collect();
         Ok(RenderedDelivery::new(
             Arc::clone(report),
             Arc::clone(effective),
@@ -725,7 +579,7 @@ impl BiSystem {
             Arc::clone(&rendered.actions),
             outcome,
             Provenance {
-                policy_epoch: self.policy_epoch,
+                policy_epoch: self.policies.epoch(),
                 trace,
                 source_versions: Arc::clone(&rendered.source_versions),
             },
@@ -759,7 +613,7 @@ impl BiSystem {
     /// counts as a request and an error.
     fn resolve_request(&mut self, id: &ReportId) -> Result<Arc<ReportSpec>, SystemError> {
         if let Some(report) = self.reports.get(id) {
-            return Ok(Arc::clone(report));
+            return Ok(Arc::clone(&report.spec));
         }
         let _ = self.next_trace();
         let obs = &self.engine.exec.obs;
@@ -803,15 +657,15 @@ impl BiSystem {
     /// [`ExecConfig`](bi_exec::ExecConfig) (`engine_mut().exec`).
     ///
     /// Requests are first folded into *enforcement-equivalence groups*
-    /// (same report, same effective role set, same policy epoch, same
-    /// source storage versions — see [`EnforcementKey`]): the gate and
-    /// the engine never look at the consumer's identity, so one
-    /// representative render serves every member of a group, and a
-    /// bounded cross-batch cache serves repeat groups without rendering
-    /// at all. Unique renders still fan out in parallel over `&self`;
-    /// the audit journal append stays serialized in request order, so
-    /// journal sequence numbers, trace ids and the returned results line
-    /// up with `requests` regardless of thread count or sharing, and a
+    /// (same report, same effective role set — see
+    /// [`bi_pla::EnforcementKey`]): the gate and the engine never look
+    /// at the consumer's identity, so one representative render serves
+    /// every member of a group, and a bounded cross-batch cache serves
+    /// repeat groups of the same revision without rendering at all.
+    /// Unique renders still fan out in parallel over `&self`; the audit
+    /// journal append stays serialized in request order, so journal
+    /// sequence numbers, trace ids and the returned results line up
+    /// with `requests` regardless of thread count or sharing, and a
     /// mid-batch PLA mutation is impossible by construction.
     pub fn deliver_batch(
         &mut self,
@@ -825,42 +679,28 @@ impl BiSystem {
         obs.add(Counter::DeliverRequests, requests.len() as u64);
         let policy = self.policy();
         let cfg = self.engine.exec.clone();
-        // Pin ONE data snapshot for the whole batch: every group's key,
-        // render and journaled provenance read the same table versions,
+        // Pin ONE data snapshot for the whole batch: every group's render
+        // and journaled provenance read the same table versions,
         // whatever happens to the live warehouse meanwhile.
         let snapshot = self.warehouse.snapshot();
 
         // Phase 1 (serial): resolve + group by enforcement key, on
         // borrowed role sets. Keys are computed once per distinct
-        // (report, held roles) pair and source versions once per
-        // distinct report, not per request.
-        let mut versions: BTreeMap<ReportId, Option<Vec<(String, u64)>>> = BTreeMap::new();
+        // (report, held roles) pair, not per request.
         let grouped = scheduler::group_requests(
             requests,
-            |id| self.reports.get(id).map(Arc::clone),
+            |id| self.reports.get(id).map(|r| Arc::clone(&r.spec)),
             |consumer| self.subjects.roles_of(consumer),
-            |report, effective| {
-                let v = versions.entry(report.id.clone()).or_insert_with(|| {
-                    bi_query::source_versions(&report.plan, snapshot.catalog()).ok()
-                });
-                v.as_ref().map(|sv| {
-                    EnforcementKey::new(
-                        report.id.clone(),
-                        effective,
-                        report.purpose.as_deref(),
-                        self.policy_epoch,
-                        sv.clone(),
-                    )
-                })
-            },
         );
 
-        // Phase 2 (serial): probe the cross-batch render cache. A hit
-        // serves the whole group without rendering.
+        // Phase 2 (serial): probe the cross-batch render cache, which
+        // keeps only renders of the current revision. A hit serves the
+        // whole group without rendering.
+        self.render_cache.start_at(self.revision);
         let mut outcomes: Vec<Option<Arc<RenderedDelivery>>> = Vec::new();
         let mut from_cache: Vec<bool> = Vec::new();
         for g in &grouped.groups {
-            let hit = g.key.as_ref().and_then(|k| self.render_cache.get(k, &obs));
+            let hit = self.render_cache.get(&g.key, &obs);
             from_cache.push(hit.is_some());
             outcomes.push(hit);
         }
@@ -886,10 +726,8 @@ impl BiSystem {
                 Ok(r) => {
                     obs.count(Counter::DeliverRenderUnique);
                     let shared = Arc::new(r);
-                    if let Some(k) = &grouped.groups[gi].key {
-                        self.render_cache
-                            .insert(k.clone(), Arc::clone(&shared), &obs);
-                    }
+                    let key = grouped.groups[gi].key.clone();
+                    self.render_cache.insert(key, Arc::clone(&shared), &obs);
                     outcomes[gi] = Some(shared);
                 }
                 Err(e) => failures[gi] = Some(e),
@@ -954,8 +792,12 @@ impl BiSystem {
     /// columns in an agreement protect nothing, so surface them.
     pub fn lint_plas(&self) -> Vec<(bi_types::PlaId, bi_pla::LintWarning)> {
         let mut out = Vec::new();
-        let metas_docs = self.metas.iter().flat_map(|m| m.annotations.iter());
-        for doc in self.documents.iter().chain(metas_docs) {
+        let metas_docs = self
+            .policies
+            .metas()
+            .iter()
+            .flat_map(|m| m.annotations.iter());
+        for doc in self.policies.documents().iter().chain(metas_docs) {
             for w in bi_pla::lint_document(doc, self.warehouse.catalog()) {
                 out.push((doc.id.clone(), w));
             }
@@ -963,38 +805,9 @@ impl BiSystem {
         out
     }
 
-    /// The PLA-id binding shown on delivery documents (every registered
-    /// document plus meta-report annotations). Rebuilt only when a PLA
-    /// mutation bumps the policy epoch; served from the policy cache
-    /// otherwise.
-    fn pla_binding(&self) -> Arc<Vec<bi_types::PlaId>> {
-        let mut cache = self
-            .policy_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some((epoch, binding)) = &cache.binding {
-            if *epoch == self.policy_epoch {
-                return Arc::clone(binding);
-            }
-        }
-        let binding: Arc<Vec<bi_types::PlaId>> = Arc::new(
-            self.documents
-                .iter()
-                .map(|d| d.id.clone())
-                .chain(
-                    self.metas
-                        .iter()
-                        .flat_map(|m| m.annotations.iter().map(|d| d.id.clone())),
-                )
-                .collect(),
-        );
-        cache.binding = Some((self.policy_epoch, Arc::clone(&binding)));
-        binding
-    }
-
     /// Delivers a report and renders the consumer-facing delivery
     /// document (table + audit context) in one step. The report is
-    /// resolved once and the PLA binding comes cached per policy epoch.
+    /// resolved once; the PLA binding is built once per PLA mutation.
     pub fn deliver_document(
         &mut self,
         id: &ReportId,
@@ -1002,9 +815,12 @@ impl BiSystem {
     ) -> Result<String, SystemError> {
         let spec = self.resolve_request(id)?;
         let enforced = self.deliver_resolved(&spec, consumer)?;
-        let binding = self.pla_binding();
         Ok(bi_report::render::delivery_document(
-            &spec, &enforced, consumer, self.today, &binding,
+            &spec,
+            &enforced,
+            consumer,
+            self.today,
+            self.policies.binding(),
         ))
     }
 
@@ -1017,20 +833,10 @@ impl BiSystem {
         bi_audit::recheck_log(
             &self.log,
             self.warehouse.catalog(),
-            &self.policy(),
+            self.policies.full(),
             &self.table_source,
         )
         .map_err(SystemError::from)
-    }
-
-    /// The epoch-keyed policy snapshot history, Arc-shared — no policy
-    /// is copied to hand it to the audit layer.
-    fn policy_snapshots(&self) -> BTreeMap<u64, Arc<CombinedPolicy>> {
-        let cache = self
-            .policy_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        cache.history.clone()
     }
 
     /// Third-party audit: replay each delivery against the policy
@@ -1047,8 +853,8 @@ impl BiSystem {
         bi_audit::recheck_log_at_versions(
             &self.log,
             self.warehouse.catalog(),
-            &self.policy(),
-            &self.policy_snapshots(),
+            self.policies.full(),
+            self.policies.history(),
             &self.table_source,
             &|name, version| self.table_at(name, version),
         )
@@ -1089,8 +895,8 @@ impl BiSystem {
         let conditions = bi_audit::conditions_at_delivery(
             &self.log,
             self.warehouse.catalog(),
-            &self.policy(),
-            &self.policy_snapshots(),
+            self.policies.full(),
+            self.policies.history(),
             &self.table_source,
             &|name, version| self.table_at(name, version),
         );
@@ -1211,7 +1017,7 @@ impl BiSystem {
 
     /// Rebuilds a system from its write-ahead log: replays every logged
     /// mutation in order through the same code paths the live system
-    /// used, so policy epochs, data epochs, the audit journal, the
+    /// used, so policy epochs, the revision, the audit journal, the
     /// policy-snapshot history and the MVCC data-version history all
     /// come back — [`BiSystem::recheck_at_delivery`] after recovery
     /// resolves the same snapshots it would have before the restart.
@@ -1331,7 +1137,7 @@ impl BiSystem {
                             });
                         }
                     }
-                    sys.data_epoch += 1;
+                    sys.revision += 1;
                 }
                 WalRecord::Delivery { entry } => {
                     max_trace = max_trace.max(entry.provenance.trace.value());
@@ -1643,11 +1449,11 @@ mod tests {
         ));
     }
 
-    /// The combined policy is cached between PLA mutations: repeated
+    /// The combined policy is computed once per PLA mutation: repeated
     /// `policy()` calls share one combination, and every mutation path
-    /// (`add_pla`, `add_pla_text`, `add_meta_report`) invalidates it.
+    /// (`add_pla`, `add_pla_text`, `add_meta_report`) recombines it.
     #[test]
-    fn policy_cache_is_invalidated_by_pla_mutations() {
+    fn policy_is_invalidated_by_pla_mutations() {
         let mut sys = BiSystem::new(today());
         let p1 = sys.policy();
         let p2 = sys.policy();
@@ -1705,10 +1511,10 @@ mod tests {
         );
     }
 
-    /// Compiled check programs are cached per (policy epoch, data
-    /// epoch): repeated deliveries of one report compile once, and every
-    /// path that can change the compile inputs — PLA mutations, ETL
-    /// loads, report redefinition — forces a recompile.
+    /// Compiled check programs are kept per revision: repeated
+    /// deliveries of one report compile once, and every path that can
+    /// change the compile inputs — PLA mutations, ETL loads, report
+    /// redefinition — forces a recompile.
     #[test]
     fn check_program_cache_hits_and_invalidates() {
         let mut sys = build_system();
@@ -1753,7 +1559,7 @@ mod tests {
             "repeat deliveries hit the cache"
         );
 
-        // A PLA mutation bumps the policy epoch → recompile.
+        // A PLA mutation starts a new revision → recompile.
         sys.add_pla(PlaDocument::new("noop", "hospital", PlaLevel::Source));
         sys.deliver(&id, &alice).unwrap();
         let after_pla = misses(&obs);
@@ -1762,7 +1568,7 @@ mod tests {
             "PLA mutation invalidates the program cache"
         );
 
-        // Redefining the report evicts its entries → recompile.
+        // Redefining the report replaces its entry → recompile.
         sys.define_report(ReportSpec::new(
             "r-consumption",
             "Drug consumption v2",

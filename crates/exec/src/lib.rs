@@ -215,15 +215,6 @@ impl ExecConfig {
         ExecConfig { obs, ..self }
     }
 
-    /// Builder: the same execution shape with a different bound on the
-    /// version-keyed column chunk cache. `0` disables caching.
-    pub fn with_chunk_cache_capacity(self, chunk_cache_capacity: usize) -> Self {
-        ExecConfig {
-            chunk_cache_capacity,
-            ..self
-        }
-    }
-
     /// True when this configuration runs everything inline.
     pub fn is_serial(&self) -> bool {
         self.threads <= 1

@@ -14,7 +14,7 @@
 //!   monotonic clock reads.
 //! * [`Counter`] — a closed set of named counters (operator executions,
 //!   columnar kernel hits and decline reasons, lattice waves, Mondrian
-//!   cuts, ETL steps, deliveries, policy-cache hits). Counts are
+//!   cuts, ETL steps, deliveries, check-program cache hits). Counts are
 //!   **exact and deterministic** at any thread count: every counted
 //!   event is decided by the query/policy shape, never by scheduling.
 //! * [`SpanKind`] / [`Span`] — hierarchical spans with monotonic
@@ -133,12 +133,8 @@ counters! {
     DeliverRefused => "deliver.refused",
     /// Requests that errored outside the gate (not journaled).
     DeliverErrors => "deliver.errors",
-    /// Combined-policy cache hits.
-    PolicyCacheHit => "policy.cache.hit",
-    /// Combined-policy cache misses (recombinations).
-    PolicyCacheMiss => "policy.cache.miss",
     /// Compiled check-program cache hits (one compile per report and
-    /// policy/data epoch serves every consumer and delivery).
+    /// system revision serves every consumer and delivery).
     CheckProgramCacheHit => "check.program.cache.hit",
     /// Compiled check-program cache misses (compilations).
     CheckProgramCacheMiss => "check.program.cache.miss",

@@ -42,5 +42,5 @@ pub use catalog::Catalog;
 pub use error::QueryError;
 pub use exec::{execute, execute_with};
 pub use explain::explain;
-pub use origins::{source_versions, ColumnOrigins, Origin};
+pub use origins::{ColumnOrigins, Origin};
 pub use plan::{AggFunc, AggItem, JoinKind, Plan, SortKey};

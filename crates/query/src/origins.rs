@@ -68,29 +68,6 @@ pub fn origins(plan: &Plan, cat: &Catalog) -> Result<ColumnOrigins, QueryError> 
     analyze(&inlined, cat)
 }
 
-/// The storage versions of every base table `plan` reads, sorted by
-/// table name. This is the *data* component of an
-/// enforcement-equivalence fingerprint: storage versions are
-/// process-unique per row-storage content
-/// ([`bi_relation::Table::storage_version`]), so equal version vectors
-/// imply the plan reads identical rows and a gate outcome or enforced
-/// render computed once can be reused verbatim. A table named by the
-/// plan but absent from the catalog reports version `0` — it fails
-/// execution identically until a load gives it real storage, at which
-/// point the vector (and any key built on it) changes.
-pub fn source_versions(plan: &Plan, cat: &Catalog) -> Result<Vec<(String, u64)>, QueryError> {
-    let o = origins(plan, cat)?;
-    Ok(o.tables
-        .iter()
-        .map(|t| {
-            (
-                t.clone(),
-                cat.table(t).map_or(0, bi_relation::Table::storage_version),
-            )
-        })
-        .collect())
-}
-
 fn expr_origins(e: &Expr, input: &ColumnOrigins) -> BTreeSet<Origin> {
     let mut out = BTreeSet::new();
     for c in e.columns_used() {

@@ -114,7 +114,7 @@ pub struct Warehouse {
     /// = 1, +1 per commit whose row storage actually differs), so the
     /// same ETL workload journals the same provenance in any process —
     /// unlike the process-unique storage-allocation ids, which stay
-    /// internal (render-cache keys only).
+    /// internal (chunk-cache keys and the reload check in `load_table`).
     versions: BTreeMap<String, (u64, u64)>,
 }
 

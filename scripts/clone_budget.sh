@@ -37,11 +37,21 @@ declare -A BUDGET=(
   # 54 -> 53 when the render-cache capacity setter went: it cloned the
   # recorder handle to hand the cache for its eviction counter, and the
   # cache's bound is now the fixed default.
-  [crates/core/src/system.rs]=53
-  # Scheduler: one EnforcementKey clone into the dedup map, one in a
-  # test fixture, and the report's plan copied into the render's
-  # `Arc<Plan>` once per render (it used to be copied per journal entry
-  # in system.rs). Rendered outcomes move by Arc, members by index.
+  # 53 -> 44 when everything the facade derives moved onto one revision
+  # counter: the hand evictions of check programs (two id clones), the
+  # program cache's (report, gate) key, the per-batch source-version
+  # map and the storage versions copied into each key, the history
+  # copied per audit replay, and the binding's id clones (now one, in
+  # policy.rs) went.
+  [crates/core/src/system.rs]=44
+  # Policy state: the binding copies each PLA id (an `Arc<str>`) once
+  # per PLA mutation.
+  [crates/core/src/policy.rs]=1
+  # Scheduler: the report id into each group's EnforcementKey (an
+  # `Arc<str>` bump), one key clone into the dedup map, and the report's
+  # plan copied into the render's `Arc<Plan>` once per render (it used
+  # to be copied per journal entry in system.rs). Rendered outcomes
+  # move by Arc, members by index.
   [crates/core/src/scheduler.rs]=3
   # Render cache: hit/insert share by Arc::clone only — a deep copy of
   # an EnforcedReport here would defeat the whole layer.
