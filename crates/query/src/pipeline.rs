@@ -10,7 +10,8 @@
 //!
 //! * **Filters** run as vectorized predicate kernels over the source's
 //!   (cached) [`ColumnChunk`] when they compile, scalar-VM programs
-//!   otherwise. Survivors travel as a selection vector — no row is
+//!   otherwise; consecutive kernels join into one over their
+//!   conjunction. Survivors travel as a selection vector — no row is
 //!   copied just to be dropped by the next stage.
 //! * **Projections** of bare columns and of kernel masks
 //!   `if(cond, col, NULL)` — the pruning and masking shapes PLA
@@ -33,17 +34,21 @@
 //!   either side by (probe row, build row), so neither the filtered
 //!   probe table nor the joined table is ever built.
 //! * A terminal **Aggregate** slots, then evaluates. Morsels run their
-//!   stages in parallel down to their output rows; one serial pass in
-//!   row order slots those rows into first-appearance groups by
-//!   per-column codes from the cached chunks (dictionary codes for text,
-//!   the column's cached dense codes otherwise, NULL's code where a mask
-//!   hides the cell) — only rows a VM projection materialized, or key
-//!   columns that declined conversion, hash their `Value`s. Each group
-//!   then evaluates every aggregate over its members in row order: a
-//!   typed kernel over the argument's cached column when the argument is
-//!   a (possibly masked) source column, the oracle's own
-//!   [`exec::eval_agg_values`] otherwise. A terminal **Limit** stops
-//!   early when every stage is an infallible kernel.
+//!   stages in parallel down to their output rows; then serial passes in
+//!   row order slot those rows into first-appearance groups, one pass
+//!   per key column, by per-column codes from the cached chunks
+//!   (dictionary codes for text, the column's cached dense codes
+//!   otherwise, NULL's code where a mask hides the cell) — only rows a
+//!   VM projection materialized, or key columns that declined
+//!   conversion, hash their `Value`s. One more pass counts each group
+//!   and clones its key cells once. Each group then evaluates every
+//!   aggregate in order: one without an argument (`count(*)`) from the
+//!   group's size; one with an argument over its members in row order,
+//!   placed only when some aggregate reads them — a typed kernel over
+//!   the argument's cached column when the argument is a (possibly
+//!   masked) source column, the oracle's own [`exec::eval_agg_values`]
+//!   otherwise. A terminal **Limit** stops early when every stage is an
+//!   infallible kernel.
 //!
 //! Every Filter/Project/Join/Aggregate root (and a Limit over one)
 //! enters here when `columnar` and `pipeline` are on, lone operators
@@ -82,9 +87,11 @@
 //! error fallback re-runs instead of surfacing the fused error.
 
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::iter::Empty;
 use std::sync::Arc;
 
 use bi_exec::{Counter, ExecConfig};
@@ -347,6 +354,9 @@ fn compile(
     let mut masks: Masks = Vec::new();
     let mut stages = Vec::with_capacity(chain.ops.len());
     let mut kernel_cols = std::collections::BTreeSet::new();
+    // The predicate, over the source schema, of the last stage while that
+    // stage is a kernel.
+    let mut last_kernel: Option<Expr> = None;
     for op in &chain.ops {
         // Over slots, expressions compile against the source schema.
         let over = if view.is_some() { &src } else { &schema };
@@ -358,13 +368,33 @@ fn compile(
                 } else {
                     CompiledPredicate::compile(&pred, over)
                 };
-                stages.push(match kernel {
-                    Some(k) => {
-                        kernel_cols.extend(k.columns().iter().copied());
-                        Stage::Kernel(k)
+                let Some(k) = kernel else {
+                    stages.push(Stage::VmFilter(Program::compile(&pred, over)));
+                    last_kernel = None;
+                    continue;
+                };
+                kernel_cols.extend(k.columns().iter().copied());
+                // A kernel right after a kernel joins it: kernels are
+                // infallible, so their conjunction keeps exactly the rows
+                // the two keep in turn, with no selection narrowed in
+                // between.
+                let pred = pred.into_owned();
+                match last_kernel.take() {
+                    None => {
+                        stages.push(Stage::Kernel(k));
+                        last_kernel = Some(pred);
                     }
-                    None => Stage::VmFilter(Program::compile(&pred, over)),
-                });
+                    Some(prev) => {
+                        let both = prev.and(pred);
+                        match (CompiledPredicate::compile(&both, over), stages.last_mut()) {
+                            (Some(joint), Some(last)) => {
+                                *last = Stage::Kernel(joint);
+                                last_kernel = Some(both);
+                            }
+                            _ => stages.push(Stage::Kernel(k)),
+                        }
+                    }
+                }
             }
             ChainOp::Project(items) => {
                 let out = match bi_relation::project_schema(&schema, items) {
@@ -386,6 +416,7 @@ fn compile(
                     Program::compile(&through(e, &schema, view.as_deref(), &src, &masks), over)
                 });
                 stages.push(Stage::VmProject(programs.collect()));
+                last_kernel = None;
                 view = None;
                 materialized = true;
                 schema = out;
@@ -1121,14 +1152,25 @@ enum KeyCodes<'a> {
 }
 
 impl KeyCodes<'_> {
-    #[inline]
-    fn code(&self, p: u32, b: u32) -> u32 {
-        match self {
-            KeyCodes::Probe(g) => g.code(p as usize),
-            KeyCodes::Masked(g, m) if m.is_true(p as usize) => g.code(p as usize),
-            KeyCodes::Masked(g, _) => g.null_code(),
-            KeyCodes::Build(g) if b == NO_ROW => g.null_code(),
-            KeyCodes::Build(g) => g.code(b as usize),
+    /// Calls `f` with each output row's group id (`ids`, one per row)
+    /// and its code in this column, in row order. The variant is
+    /// resolved once, so each arm is one tight loop.
+    fn each_code(&self, outs: &[Output], ids: &mut [u32], mut f: impl FnMut(&mut u32, u32)) {
+        match *self {
+            KeyCodes::Probe(g) => each_row(outs, ids, |id, p, _| f(id, g.code(p as usize))),
+            KeyCodes::Masked(g, m) => each_row(outs, ids, |id, p, _| {
+                let p = p as usize;
+                let code = if m.is_true(p) {
+                    g.code(p)
+                } else {
+                    g.null_code()
+                };
+                f(id, code)
+            }),
+            KeyCodes::Build(g) => each_row(outs, ids, |id, _, b| match b {
+                NO_ROW => f(id, g.null_code()),
+                b => f(id, g.code(b as usize)),
+            }),
         }
     }
 
@@ -1497,28 +1539,32 @@ impl<'a> Fused<'a> {
             probe: if materialized { &mat } else { self.src.rows() },
             ..self.cells()
         };
-        let total = outs
-            .iter()
-            .map(|out| match out {
+        let mut total = 0;
+        for out in &outs {
+            total += match out {
                 Output::Range(s, e) => (e - s) as usize,
                 Output::Pairs(pairs) => pairs.len(),
-                Output::Mat(_) => 0,
-            })
-            .sum();
-        let mut grouping = Grouping::new(&sink.keys, cells, self.codes.as_deref(), total);
-        for out in &outs {
-            match out {
-                Output::Range(s, e) => grouping.add((*s..*e).map(|p| (p, NO_ROW))),
-                Output::Pairs(pairs) => grouping.add(pairs.iter().copied()),
                 Output::Mat(_) => return Err(PipeErr::Degrade),
-            }
+            };
         }
-        let mut heads = grouping.heads;
+        let width = sink.keys.len() + sink.specs.len();
+        let Groups {
+            ids,
+            mut heads,
+            mut sizes,
+        } = match self.codes.as_deref() {
+            Some(codes) => Groups::by_codes(codes, &sink.keys, cells, &outs, total, width),
+            None => Groups::by_values(&sink.keys, cells, &outs, total, width),
+        };
         if heads.is_empty() && sink.keys.is_empty() {
             // A global aggregate over zero rows still emits one row.
-            heads.push(Vec::new());
+            heads.push(Vec::with_capacity(width));
+            sizes.push(0);
         }
-        let members = Members::place(&outs, &grouping.ids, heads.len(), self.join.is_some());
+        // Member rows are placed only for an aggregate that reads cells.
+        let placed = OnceCell::new();
+        let members =
+            || placed.get_or_init(|| Members::place(&outs, &ids, &sizes, self.join.is_some()));
         // Typed columns for the kernels: source arguments, each
         // converted on its own so a column that declines (counted) only
         // sends its own aggregates to the oracle's evaluator.
@@ -1540,28 +1586,33 @@ impl<'a> Fused<'a> {
             .collect();
         let mut out = Vec::with_capacity(heads.len());
         for (g, mut row) in heads.into_iter().enumerate() {
-            let (rows, build) = members.of(g);
             for (spec, chunk) in sink.specs.iter().zip(&typed) {
-                let (col, shown) = match (spec.arg, chunk) {
-                    (Some(Slot::Probe(c)), Some(chunk)) => (chunk.column(c), None),
-                    (Some(Slot::Masked(c, m)), Some(chunk)) => {
-                        (chunk.column(c), Some(&self.masks[m]))
-                    }
+                let Some(arg) = spec.arg else {
+                    // No argument: the group's size is the whole input
+                    // (`count(*)`; any other function raises the
+                    // oracle's error).
+                    let value = exec::eval_agg_values(spec.func, sizes[g], None::<Empty<&Value>>);
+                    row.push(value.map_err(|_| PipeErr::Query)?);
+                    continue;
+                };
+                let (rows, build) = members().of(g);
+                let (col, shown) = match (arg, chunk) {
+                    (Slot::Probe(c), Some(chunk)) => (chunk.column(c), None),
+                    (Slot::Masked(c, m), Some(chunk)) => (chunk.column(c), Some(&self.masks[m])),
                     _ => (None, None),
                 };
                 let kernel = |col| eval_agg_columnar(spec.func, col, shown, rows);
                 let value = match col.and_then(kernel) {
                     Some(v) => v,
                     None => {
-                        let values = spec.arg.map(|s| {
-                            rows.iter()
-                                .enumerate()
-                                .map(move |(k, &p)| {
-                                    cells.get(p, build.get(k).copied().unwrap_or(NO_ROW), s)
-                                })
-                                .filter(|v| !v.is_null())
-                        });
-                        exec::eval_agg_values(spec.func, rows.len(), values)
+                        let values = rows
+                            .iter()
+                            .enumerate()
+                            .map(|(k, &p)| {
+                                cells.get(p, build.get(k).copied().unwrap_or(NO_ROW), arg)
+                            })
+                            .filter(|v| !v.is_null());
+                        exec::eval_agg_values(spec.func, rows.len(), Some(values))
                     }
                 };
                 row.push(value.map_err(|_| PipeErr::Query)?);
@@ -1590,73 +1641,78 @@ fn morsel_ranges(len: usize) -> impl Iterator<Item = (usize, usize)> {
 /// wider first key column hashes.
 const DIRECT_SLOTS: u32 = 1 << 16;
 
-/// Dense group ids for tuples of per-column key codes (one code per key
-/// column, each below that column's cardinality), handed out in
-/// first-appearance order. Equal tuples ⇔ equal ids, so slotting rows
-/// in row order reproduces the serial engine's group order.
-struct GroupSlots {
-    /// First key column: code → its prefix id (`u32::MAX` unseen).
-    direct: Vec<u32>,
-    /// The same for a first key column too wide to index directly.
-    hashed: HashMap<u32, u32>,
-    /// Ids handed out for the first key column (or the one group of a
-    /// keyless aggregate).
-    first: u32,
-    /// One map per further key column: `(prefix id, code)` → prefix id,
-    /// plus the ids handed out so far.
-    folds: Vec<(HashMap<u64, u32>, u32)>,
+/// Calls `f` with the next item of `per_row` and each output row's
+/// (probe row, build row), in row order.
+fn each_row<T>(
+    outs: &[Output],
+    per_row: impl IntoIterator<Item = T>,
+    mut f: impl FnMut(T, u32, u32),
+) {
+    let mut per_row = per_row.into_iter();
+    for out in outs {
+        match out {
+            Output::Range(s, e) => {
+                for (p, t) in (*s..*e).zip(per_row.by_ref()) {
+                    f(t, p, NO_ROW);
+                }
+            }
+            Output::Pairs(pairs) => {
+                for (&(p, b), t) in pairs.iter().zip(per_row.by_ref()) {
+                    f(t, p, b);
+                }
+            }
+            Output::Mat(_) => {}
+        }
+    }
 }
 
-impl GroupSlots {
-    fn new(cards: &[u32]) -> Self {
-        let direct = match cards.first() {
-            Some(&c) if c <= DIRECT_SLOTS => vec![u32::MAX; c as usize],
-            _ => Vec::new(),
-        };
-        GroupSlots {
-            direct,
-            hashed: HashMap::new(),
-            first: 0,
-            folds: cards.iter().skip(1).map(|_| (HashMap::new(), 0)).collect(),
-        }
-    }
-
-    /// The group of `key`, opening the next id when the tuple is new.
-    /// Returns `(id, new)`. Called once per row: left out of line, the
-    /// call cost the lone 100k-row group-by about a fifth of its time.
-    #[inline(always)]
-    fn slot(&mut self, key: &[u32]) -> (u32, bool) {
-        let Some((&c0, rest)) = key.split_first() else {
-            let fresh = self.first == 0;
-            self.first = 1;
-            return (0, fresh);
-        };
-        let next = self.first;
-        let mut id = match self.direct.get_mut(c0 as usize) {
-            Some(s) => {
-                if *s == u32::MAX {
-                    *s = next;
-                }
-                *s
+/// Dense ids, in first-appearance order, for the `total` output rows'
+/// tuples of per-column key codes (each below its column's
+/// cardinality), and how many were handed out. One pass per key column:
+/// the first column's codes find their ids in a direct-indexed table (a
+/// hashed map when too wide), each further column folds `(prefix id,
+/// code)` into the next prefix id. Equal tuples ⇔ equal ids, and ids
+/// open in row order, so the groups come out in the serial engine's
+/// order. Without key columns every row is the one global group.
+fn slot_codes(codes: &[KeyCodes], outs: &[Output], total: usize) -> (Vec<u32>, u32) {
+    let mut ids = vec![0u32; total];
+    let Some((first, rest)) = codes.split_first() else {
+        return (ids, u32::from(total > 0));
+    };
+    let mut next = 0u32;
+    let card = first.cardinality();
+    if card <= DIRECT_SLOTS {
+        let mut direct = vec![u32::MAX; card as usize];
+        first.each_code(outs, &mut ids, |id, c| {
+            let slot = &mut direct[c as usize];
+            if *slot == u32::MAX {
+                *slot = next;
+                next += 1;
             }
-            None => *self.hashed.entry(c0).or_insert(next),
-        };
-        let mut fresh = id == next;
-        if fresh {
-            self.first += 1;
-        }
-        for ((map, n), &c) in self.folds.iter_mut().zip(rest) {
-            let next = *n;
-            id = *map
-                .entry(u64::from(id) << 32 | u64::from(c))
+            *id = *slot;
+        });
+    } else {
+        let mut hashed: HashMap<u32, u32> = HashMap::new();
+        first.each_code(outs, &mut ids, |id, c| {
+            *id = *hashed.entry(c).or_insert(next);
+            if *id == next {
+                next += 1;
+            }
+        });
+    }
+    for column in rest {
+        let mut folds: HashMap<u64, u32> = HashMap::with_capacity(next as usize);
+        next = 0;
+        column.each_code(outs, &mut ids, |id, c| {
+            *id = *folds
+                .entry(u64::from(*id) << 32 | u64::from(c))
                 .or_insert(next);
-            fresh = id == next;
-            if fresh {
-                *n += 1;
+            if *id == next {
+                next += 1;
             }
-        }
-        (id, fresh)
+        });
     }
+    (ids, next)
 }
 
 // ---------------------------------------------------------------------
@@ -1686,106 +1742,89 @@ impl<'a> Cells<'a> {
         }
     }
 
-    fn key(&self, keys: &[Slot], p: u32, b: u32) -> Vec<Value> {
-        keys.iter().map(|&s| self.get(p, b, s).clone()).collect()
+    /// A group's output row, holding its key cells (row `(p, b)`'s,
+    /// cloned) with room for `width` cells, so the aggregates that
+    /// follow never grow it.
+    fn head(&self, keys: &[Slot], p: u32, b: u32, width: usize) -> Vec<Value> {
+        let mut row = Vec::with_capacity(width);
+        row.extend(keys.iter().map(|&s| self.get(p, b, s).clone()));
+        row
     }
 }
 
-/// How rows find their group: by key-column codes when every key
-/// column converted, else by hashing the key cells in place (rows a VM
-/// projection materialized, key columns that declined conversion).
-enum Slotter<'a> {
-    Codes {
-        codes: &'a [KeyCodes<'a>],
-        slots: GroupSlots,
-        key: Vec<u32>,
-    },
-    Values {
-        by_hash: HashMap<u64, Vec<usize>>,
-    },
-}
-
-/// First-appearance groups of output rows, filled in row order.
-struct Grouping<'a> {
-    keys: &'a [Slot],
-    cells: Cells<'a>,
-    slotter: Slotter<'a>,
-    /// Each group's key cells: its first member's, verbatim (this
-    /// matters for `Value`-equal but distinct bytes like `-0.0`/`0.0`).
-    heads: Vec<Vec<Value>>,
+/// First-appearance groups of a sink's output rows.
+struct Groups {
     /// Each output row's group, in row order.
     ids: Vec<u32>,
+    /// Each group's output row so far: its key cells, those of its first
+    /// member verbatim (this matters for `Value`-equal but distinct
+    /// bytes like `-0.0`/`0.0`).
+    heads: Vec<Vec<Value>>,
+    /// Each group's member count.
+    sizes: Vec<usize>,
 }
 
-impl<'a> Grouping<'a> {
-    fn new(
-        keys: &'a [Slot],
-        cells: Cells<'a>,
-        codes: Option<&'a [KeyCodes<'a>]>,
-        rows: usize,
-    ) -> Self {
-        let slotter = match codes {
-            Some(codes) => {
-                let cards: Vec<u32> = codes.iter().map(KeyCodes::cardinality).collect();
-                Slotter::Codes {
-                    codes,
-                    slots: GroupSlots::new(&cards),
-                    key: vec![0; codes.len()],
-                }
+impl Groups {
+    /// Slots rows by key-column codes ([`slot_codes`]), then counts each
+    /// group and clones its key cells once, from its first member.
+    fn by_codes(
+        codes: &[KeyCodes],
+        keys: &[Slot],
+        cells: Cells,
+        outs: &[Output],
+        total: usize,
+        width: usize,
+    ) -> Groups {
+        let (ids, groups) = slot_codes(codes, outs, total);
+        let groups = groups as usize;
+        let mut sizes = vec![0usize; groups];
+        let mut heads = Vec::with_capacity(groups);
+        each_row(outs, &ids, |&g, p, b| {
+            let size = &mut sizes[g as usize];
+            if *size == 0 {
+                heads.push(cells.head(keys, p, b, width));
             }
-            None => Slotter::Values {
-                by_hash: HashMap::new(),
-            },
-        };
-        Grouping {
-            keys,
-            cells,
-            slotter,
-            heads: Vec::new(),
-            ids: Vec::with_capacity(rows),
-        }
+            *size += 1;
+        });
+        Groups { ids, heads, sizes }
     }
 
-    /// Slots `rows` — (probe row, build row) pairs, in row order — into
-    /// their groups. Key cells are cloned only when a group opens.
-    fn add(&mut self, rows: impl Iterator<Item = (u32, u32)>) {
-        let (keys, cells) = (self.keys, self.cells);
-        let (heads, ids) = (&mut self.heads, &mut self.ids);
-        match &mut self.slotter {
-            Slotter::Codes { codes, slots, key } => {
-                for (p, b) in rows {
-                    for (k, c) in key.iter_mut().zip(codes.iter()) {
-                        *k = c.code(p, b);
-                    }
-                    let (g, fresh) = slots.slot(key);
-                    if fresh {
-                        heads.push(cells.key(keys, p, b));
-                    }
-                    ids.push(g);
-                }
+    /// Slots rows by hashing their key cells in place: rows a VM
+    /// projection materialized, key columns that declined conversion.
+    fn by_values(
+        keys: &[Slot],
+        cells: Cells,
+        outs: &[Output],
+        total: usize,
+        width: usize,
+    ) -> Groups {
+        let mut ids = vec![0u32; total];
+        let mut heads: Vec<Vec<Value>> = Vec::new();
+        let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
+        each_row(outs, ids.iter_mut(), |id, p, b| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            for &s in keys {
+                cells.get(p, b, s).hash(&mut h);
             }
-            Slotter::Values { by_hash } => {
-                for (p, b) in rows {
-                    let mut h = std::collections::hash_map::DefaultHasher::new();
-                    for &s in keys {
-                        cells.get(p, b, s).hash(&mut h);
-                    }
-                    let cands = by_hash.entry(h.finish()).or_default();
-                    let found = cands.iter().copied().find(|&g| {
-                        heads[g]
-                            .iter()
-                            .zip(keys)
-                            .all(|(k, &s)| k == cells.get(p, b, s))
-                    });
-                    let g = found.unwrap_or_else(|| {
-                        cands.push(heads.len());
-                        heads.push(cells.key(keys, p, b));
-                        heads.len() - 1
-                    });
-                    ids.push(g as u32);
-                }
-            }
+            let cands = by_hash.entry(h.finish()).or_default();
+            let found = cands.iter().copied().find(|&g| {
+                heads[g]
+                    .iter()
+                    .zip(keys)
+                    .all(|(k, &s)| k == cells.get(p, b, s))
+            });
+            let g = found.unwrap_or_else(|| {
+                cands.push(heads.len());
+                heads.push(cells.head(keys, p, b, width));
+                heads.len() - 1
+            });
+            *id = g as u32;
+        });
+        let mut sizes = vec![0usize; heads.len()];
+        for &g in &ids {
+            sizes[g as usize] += 1;
         }
+        Groups { ids, heads, sizes }
     }
 }
 
@@ -1801,44 +1840,30 @@ struct Members {
 }
 
 impl Members {
-    /// Places the output rows of `outs` among `groups` groups by their
-    /// group `ids` (one per row, in row order): a counting sort, so each
-    /// group's members keep row order.
-    fn place(outs: &[Output], ids: &[u32], groups: usize, joined: bool) -> Members {
-        let mut starts = vec![0usize; groups + 1];
-        for &g in ids {
-            starts[g as usize + 1] += 1;
+    /// Places the output rows of `outs` by their group `ids` (one per
+    /// row, in row order) among groups of the given `sizes`: a counting
+    /// sort, so each group's members keep row order.
+    fn place(outs: &[Output], ids: &[u32], sizes: &[usize], joined: bool) -> Members {
+        let mut starts = Vec::with_capacity(sizes.len() + 1);
+        let mut at = 0;
+        for &n in sizes {
+            starts.push(at);
+            at += n;
         }
-        for g in 0..groups {
-            starts[g + 1] += starts[g];
-        }
+        starts.push(at);
         // `starts[g]` serves as group `g`'s cursor; once every row is
         // placed it holds group `g + 1`'s start, so one rotation
         // restores the starts.
         let mut rows = vec![0u32; ids.len()];
         let mut build = vec![NO_ROW; if joined { ids.len() } else { 0 }];
-        let mut ids = ids.iter();
-        for out in outs {
-            match out {
-                Output::Range(s, e) => {
-                    for (p, &g) in (*s..*e).zip(ids.by_ref()) {
-                        rows[starts[g as usize]] = p;
-                        starts[g as usize] += 1;
-                    }
-                }
-                Output::Pairs(pairs) => {
-                    for (&(p, b), &g) in pairs.iter().zip(ids.by_ref()) {
-                        let at = starts[g as usize];
-                        rows[at] = p;
-                        if joined {
-                            build[at] = b;
-                        }
-                        starts[g as usize] += 1;
-                    }
-                }
-                Output::Mat(_) => {}
+        each_row(outs, ids, |&g, p, b| {
+            let at = &mut starts[g as usize];
+            rows[*at] = p;
+            if joined {
+                build[*at] = b;
             }
-        }
+            *at += 1;
+        });
         starts.rotate_right(1);
         starts[0] = 0;
         Members {
@@ -2114,8 +2139,8 @@ mod tests {
         // Aggregate ← Filter(Date) ← Project(every column, Doctor masked)
         // ← Filter(Disease <> 'HIV') ← Scan. The mask projection is not
         // the chain's last operator, yet nothing materializes: both
-        // filters are kernels over source rows and the group key reads
-        // the Doctor column's codes through the mask.
+        // filters join one kernel over source rows and the group key
+        // reads the Doctor column's codes through the mask.
         let schema = Arc::new(
             Schema::new(vec![
                 Column::new("Patient", DataType::Text),
@@ -2145,14 +2170,11 @@ mod tests {
             .aggregate(vec!["Doctor".into()], vec![AggItem::count_star("n")]);
         let chain = decompose(&plan).unwrap();
         let compiled = compile(&chain, Arc::clone(&schema), None).unwrap();
-        assert_eq!(compiled.stages.len(), 2);
         assert!(
-            compiled
-                .stages
-                .iter()
-                .all(|s| matches!(s, Stage::Kernel(_))),
-            "both filters are kernels; the projection is slots"
+            matches!(compiled.stages.as_slice(), [Stage::Kernel(_)]),
+            "both filters join one kernel; the projection is slots"
         );
+        assert_eq!(compiled.kernel_cols, vec![2, 3], "Disease and Date");
         assert!(!compiled.materializes());
         assert_eq!(compiled.masks.len(), 1, "one mask, evaluated once");
         let CompiledSink::Aggregate(agg) = &compiled.sink else {
@@ -2185,6 +2207,24 @@ mod tests {
         let oracle = exec::execute(&plan, &cat).unwrap();
         assert_eq!(fused.rows(), oracle.rows());
         assert_eq!(fused.schema(), oracle.schema());
+
+        // A VM filter between two kernels keeps them apart: it must see
+        // exactly the rows the first one keeps.
+        let by_zero = Expr::Bin(
+            bi_relation::BinOp::Div,
+            Box::new(col("Date")),
+            Box::new(lit(0)),
+        );
+        let split = scan("T")
+            .filter(shown())
+            .filter(by_zero.is_null())
+            .filter(col("Date").ge(lit(day(2007, 1, 1))))
+            .aggregate(vec!["Doctor".into()], vec![AggItem::count_star("n")]);
+        let compiled = compile(&decompose(&split).unwrap(), Arc::clone(&schema), None).unwrap();
+        assert!(matches!(
+            compiled.stages.as_slice(),
+            [Stage::Kernel(_), Stage::VmFilter(_), Stage::Kernel(_)]
+        ));
 
         // A mask whose column a later projection drops is never
         // evaluated, nor are its columns converted.
@@ -2251,32 +2291,51 @@ mod tests {
     }
 
     #[test]
-    fn group_slots_assign_first_appearance_ids() {
-        // One key column, direct-indexed.
-        let mut one = GroupSlots::new(&[4]);
-        let ids: Vec<(u32, bool)> = [2, 0, 2, 3, 0].iter().map(|&c| one.slot(&[c])).collect();
-        assert_eq!(
-            ids,
-            [(0, true), (1, true), (0, false), (2, true), (1, false)]
+    fn slot_codes_assign_first_appearance_ids() {
+        use bi_types::{Column, DataType};
+        let schema = Arc::new(
+            Schema::new(vec![
+                Column::new("a", DataType::Int),
+                Column::new("b", DataType::Int),
+            ])
+            .unwrap(),
         );
+        let ints = |a: &[i64], b: &[i64]| {
+            let rows = a.iter().zip(b).map(|(&x, &y)| vec![x.into(), y.into()]);
+            let t = Table::from_rows("T", Arc::clone(&schema), rows.collect()).unwrap();
+            ColumnChunk::from_table(&t).unwrap()
+        };
+        fn codes<'c>(chunk: &'c ColumnChunk, cols: &[usize]) -> Vec<KeyCodes<'c>> {
+            let col = |c| KeyCodes::Probe(chunk.column(c).unwrap().group_codes());
+            cols.iter().map(|&c| col(c)).collect()
+        }
+        let chunk = ints(&[2, 0, 2, 3, 0], &[1, 1, 1, 2, 2]);
+        let all = [Output::Range(0, 5)];
+
+        // One key column, direct-indexed.
+        let (ids, n) = slot_codes(&codes(&chunk, &[0]), &all, 5);
+        assert_eq!((ids, n), (vec![0, 1, 0, 2, 1], 3));
+
+        // Two columns: ids follow first appearance of the *tuple*, across
+        // outputs of both kinds.
+        let split = [
+            Output::Range(0, 2),
+            Output::Pairs(vec![(2, NO_ROW), (3, NO_ROW), (4, NO_ROW)]),
+        ];
+        let (ids, n) = slot_codes(&codes(&chunk, &[0, 1]), &split, 5);
+        assert_eq!((ids, n), (vec![0, 1, 0, 2, 3], 4));
+
+        // No key columns: one global group, or none over no rows.
+        assert_eq!(slot_codes(&[], &all, 5), (vec![0; 5], 1));
+        assert_eq!(slot_codes(&[], &[], 0), (Vec::new(), 0));
 
         // A first column too wide to index directly hashes instead.
-        let mut wide = GroupSlots::new(&[u32::MAX]);
-        assert_eq!(wide.slot(&[70_000]), (0, true));
-        assert_eq!(wide.slot(&[5]), (1, true));
-        assert_eq!(wide.slot(&[70_000]), (0, false));
-
-        // Two columns: ids follow first appearance of the *tuple*.
-        let mut two = GroupSlots::new(&[3, 3]);
-        let ids: Vec<u32> = [[0, 1], [1, 1], [0, 1], [0, 2], [1, 1]]
-            .iter()
-            .map(|k| two.slot(k).0)
-            .collect();
-        assert_eq!(ids, [0, 1, 0, 2, 1]);
-
-        // No key columns: one global group.
-        let mut none = GroupSlots::new(&[]);
-        assert_eq!(none.slot(&[]), (0, true));
-        assert_eq!(none.slot(&[]), (0, false));
+        let wide = (DIRECT_SLOTS as i64) + 10;
+        let a: Vec<i64> = (0..wide).rev().collect();
+        let chunk = ints(&a, &vec![0; a.len()]);
+        let keys = codes(&chunk, &[0]);
+        assert!(keys[0].cardinality() > DIRECT_SLOTS);
+        let rows = Output::Pairs(vec![(7, NO_ROW), (3, NO_ROW), (7, NO_ROW), (9, NO_ROW)]);
+        assert_eq!(slot_codes(&keys, &[rows], 4), (vec![0, 1, 0, 2], 3));
     }
 }

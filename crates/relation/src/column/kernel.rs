@@ -601,6 +601,14 @@ fn eval_node(node: &Node, chunk: &ColumnChunk, start: usize, end: usize) -> Bool
     }
 }
 
+/// An integer key that orders dates as `Date::cmp` does (year, then
+/// month, then day): the month and day fill the low 16 bits below the
+/// year. One integer compare per row instead of a three-field compare.
+#[inline]
+fn date_key(d: &Date) -> i32 {
+    (i32::from(d.year()) << 16) | (i32::from(d.month()) << 8) | i32::from(d.day())
+}
+
 fn eval_cmp_lit(col: &Column, op: CmpOp, lit: &Value, start: usize, end: usize) -> BoolMask {
     let v = &col.validity;
     match (&col.data, lit) {
@@ -649,8 +657,8 @@ fn eval_cmp_lit(col: &Column, op: CmpOp, lit: &Value, start: usize, end: usize) 
             }
         },
         (ColumnData::Date(data), Value::Date(d)) => {
-            let d = *d;
-            cmp_mask(start, end, v, data, |x| op.test(x.cmp(&d)))
+            let d = date_key(d);
+            cmp_mask(start, end, v, data, |x| op.test(date_key(x).cmp(&d)))
         }
         (ColumnData::Bool(data), Value::Bool(b)) => {
             let b = *b;
@@ -721,7 +729,7 @@ fn eval_cmp_col(a: &Column, b: &Column, op: CmpOp, start: usize, end: usize) -> 
             }
         }),
         (ColumnData::Date(da), ColumnData::Date(db)) => {
-            pairwise!(da, db, |x: &Date, y: &Date| x.cmp(y))
+            pairwise!(da, db, |x: &Date, y: &Date| date_key(x).cmp(&date_key(y)))
         }
         (ColumnData::Bool(da), ColumnData::Bool(db)) => {
             pairwise!(da, db, |x: &bool, y: &bool| x.cmp(y))
@@ -981,6 +989,37 @@ mod tests {
         assert!(!compiles(&col("name").lt(lit(3))));
         // Non-boolean columns are not predicates.
         assert!(!compiles(&col("age")));
+    }
+
+    #[test]
+    fn date_key_orders_like_value_cmp() {
+        use rand::{Rng, SeedableRng};
+        let day = |y, m, d| Date::new(y, m, d).unwrap();
+        // Boundary years and the first and last day of their months and
+        // years, then random dates across the whole range.
+        let mut dates = Vec::new();
+        for y in [1, 2, 3, 4, 99, 100, 255, 256, 1999, 2000, 2007, 9998, 9999] {
+            for (m, d) in [(1, 1), (1, 31), (2, 28), (6, 15), (12, 1), (12, 31)] {
+                dates.push(day(y, m, d));
+            }
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        for _ in 0..500 {
+            dates.push(day(
+                rng.gen_range(1i16..=9999),
+                rng.gen_range(1u8..=12),
+                rng.gen_range(1u8..=28),
+            ));
+        }
+        for a in &dates {
+            for b in &dates {
+                assert_eq!(
+                    date_key(a).cmp(&date_key(b)),
+                    Value::Date(*a).cmp(&Value::Date(*b)),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -264,7 +264,7 @@ pub fn render_checked(
                 (None, Vec::new())
             };
         let measure_refs: Vec<&str> = measure_cols.iter().map(String::as_str).collect();
-        let guarded_cube = bi_warehouse::authz::guard_cube_with_measures(
+        let decision = bi_warehouse::authz::guard_decision(
             &table,
             K_GUARD,
             k_required,
@@ -276,21 +276,14 @@ pub fn render_checked(
                 reason: format!("k-threshold guarding failed: {e}"),
             })
         })?;
-        suppressed_groups = guarded_cube.suppressed_small + guarded_cube.suppressed_complementary;
-        if guarded_cube.suppressed_complementary > 0 {
+        suppressed_groups = decision.suppressed_small + decision.suppressed_complementary;
+        if decision.suppressed_complementary > 0 {
             applied.push(format!(
                 "complementary suppression hid {} additional group(s) against differencing",
-                guarded_cube.suppressed_complementary
+                decision.suppressed_complementary
             ));
         }
-        let kept = guarded_cube.table;
-        let names: Vec<&str> = kept
-            .schema()
-            .names()
-            .into_iter()
-            .filter(|n| *n != K_GUARD)
-            .collect();
-        table = kept.project(&names)?;
+        table = drop_guard(&table, &decision.keep)?;
     }
 
     // 5. Post-anonymization of output columns derived from obligated
@@ -339,6 +332,33 @@ pub fn render_checked(
         applied: applied.into(),
         suppressed_groups,
     })
+}
+
+/// The rows of `table` that `keep` marks, without the guard column: one
+/// copy of each surviving row, the guard's cell left out.
+fn drop_guard(table: &Table, keep: &[bool]) -> Result<Table, ReportError> {
+    let g = table.schema().index_of(K_GUARD)?;
+    let names: Vec<&str> = table
+        .schema()
+        .names()
+        .into_iter()
+        .filter(|n| *n != K_GUARD)
+        .collect();
+    let schema = table.schema().project(&names)?;
+    let rows = table
+        .rows()
+        .iter()
+        .zip(keep)
+        .filter(|(_, &k)| k)
+        .map(|(row, _)| {
+            let mut out = Vec::with_capacity(row.len() - 1);
+            out.extend_from_slice(&row[..g]);
+            out.extend_from_slice(&row[g + 1..]);
+            out
+        })
+        .collect();
+    // Kept cells of an already-validated table, under their own columns.
+    Ok(Table::from_rows_trusted(table.name(), schema, rows))
 }
 
 /// Adds the hidden `COUNT(*)` guard to the topmost aggregate, threading

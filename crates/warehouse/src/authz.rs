@@ -32,8 +32,21 @@ pub struct GuardedCube {
     pub inferable_singletons: usize,
 }
 
-/// Applies minimum-count suppression (and optionally complementary
-/// suppression over `detail_col`) to a cube result.
+/// Which cells of a cube survive the guard, with the counts
+/// [`GuardedCube`] reports. A caller that reshapes the surviving rows
+/// (say, drops the count column) copies each of them once, itself.
+#[derive(Debug, Clone)]
+pub struct GuardDecision {
+    /// One flag per cube row, in row order: `true` keeps the cell.
+    pub keep: Vec<bool>,
+    pub suppressed_small: usize,
+    pub suppressed_complementary: usize,
+    pub inferable_singletons: usize,
+}
+
+/// Decides minimum-count suppression (and optionally complementary
+/// suppression over `detail_col`) for a cube result, without building
+/// the guarded table.
 ///
 /// * `count_col` — the column holding each cell's base-row count;
 /// * `k` — minimum allowed count;
@@ -43,13 +56,13 @@ pub struct GuardedCube {
 /// * `measure_cols` — non-grouping output columns (other measures) to
 ///   exclude from the sibling-family key; the count column and the
 ///   detail column are excluded automatically.
-pub fn guard_cube_with_measures(
+pub fn guard_decision(
     cube: &Table,
     count_col: &str,
     k: usize,
     detail_col: Option<&str>,
     measure_cols: &[&str],
-) -> Result<GuardedCube, WarehouseError> {
+) -> Result<GuardDecision, WarehouseError> {
     if k == 0 {
         return Err(WarehouseError::BadParams {
             reason: "k must be at least 1".into(),
@@ -84,9 +97,9 @@ pub fn guard_cube_with_measures(
             .filter(|&i| i != didx && i != cidx && !measure_idx.contains(&i))
             .collect();
         use std::collections::HashMap;
-        let mut families: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+        let mut families: HashMap<Vec<&Value>, Vec<usize>> = HashMap::new();
         for (i, row) in cube.rows().iter().enumerate() {
-            let key: Vec<Value> = family_cols.iter().map(|&c| row[c].clone()).collect();
+            let key: Vec<&Value> = family_cols.iter().map(|&c| &row[c]).collect();
             families.entry(key).or_default().push(i);
         }
         for members in families.values() {
@@ -112,20 +125,40 @@ pub fn guard_cube_with_measures(
             }
         }
     }
-
-    let rows: Vec<_> = cube
-        .rows()
-        .iter()
-        .zip(&keep)
-        .filter(|(_, &k)| k)
-        .map(|(r, _)| r.clone())
-        .collect();
-    let table = Table::from_rows(cube.name().to_string(), cube.schema().clone(), rows)?;
-    Ok(GuardedCube {
-        table,
+    Ok(GuardDecision {
+        keep,
         suppressed_small,
         suppressed_complementary,
         inferable_singletons,
+    })
+}
+
+/// Applies minimum-count suppression (and optionally complementary
+/// suppression over `detail_col`) to a cube result: the cells
+/// [`guard_decision`] keeps, copied into a table of the cube's name and
+/// schema.
+pub fn guard_cube_with_measures(
+    cube: &Table,
+    count_col: &str,
+    k: usize,
+    detail_col: Option<&str>,
+    measure_cols: &[&str],
+) -> Result<GuardedCube, WarehouseError> {
+    let decision = guard_decision(cube, count_col, k, detail_col, measure_cols)?;
+    let rows = cube
+        .rows()
+        .iter()
+        .zip(&decision.keep)
+        .filter(|(_, &k)| k)
+        .map(|(r, _)| r.clone())
+        .collect();
+    // Survivors of an already-validated table are well-typed.
+    let table = Table::from_rows_trusted(cube.name(), cube.schema_shared(), rows);
+    Ok(GuardedCube {
+        table,
+        suppressed_small: decision.suppressed_small,
+        suppressed_complementary: decision.suppressed_complementary,
+        inferable_singletons: decision.inferable_singletons,
     })
 }
 

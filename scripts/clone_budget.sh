@@ -75,7 +75,17 @@ declare -A BUDGET=(
   # and its aggregate plan a copy of the group-by names, while the
   # hand-written loop's deep copy of the schema went, and so did the
   # per-render copy of the report's plan when no k-guard rewrites it.
+  # Still 32 after the k-guard went to one copy: the render asks
+  # bi-warehouse which groups survive and copies each survivor once,
+  # without its guard cell (slice copies, not clones); the guarded
+  # table's rows and the later `project` copy are gone.
   [crates/report/src/engine.rs]=32
+  # Cube authorization, on every k-guarded render: the keep decision
+  # borrows each sibling-family key instead of cloning its cells, and a
+  # guarded cube shares the cube's schema by Arc. What is left is one
+  # copy per surviving row when `guard_cube*` builds its table (the
+  # render path does not call it) and one test fixture.
+  [crates/warehouse/src/authz.rs]=2
   # bi-exec call sites: parallel operators must share via Arc/borrows,
   # not clone per worker. bi-exec itself moves morsel outputs, never
   # clones. 21 -> 20 when the columnar aggregate left (the pipeline is
@@ -102,6 +112,9 @@ declare -A BUDGET=(
   # masked twice), and two per-cell sites in the emit paths went out —
   # every sink now reads a cell, masked, padded or plain, through one
   # accessor. Masked cells are never materialized between stages.
+  # Still 16 after the sink began slotting one key column per pass:
+  # a group's key cells are still cloned once, now straight into a row
+  # with room for its aggregates, and `count(*)` reads group sizes.
   [crates/query/src/pipeline.rs]=16
   [crates/anonymize/src/kanon.rs]=7
   [crates/anonymize/src/mondrian.rs]=6

@@ -626,6 +626,53 @@ fn multi_morsel_join_aggregates_match_oracle() {
     }
 }
 
+/// A first group-key column wider than the direct-indexed slot table:
+/// `Age` takes 66,000 values plus NULL, so the code-slotted sink finds
+/// first-column ids in its hashed map, then folds the second key `Ward`
+/// (text, with NULLs) into them. Grouped with `count(*)` and a `sum`,
+/// over the whole table (one untouched range) and behind a kernel
+/// filter (selections across many morsels): byte-identical to the
+/// serial oracle at 1/2/8 threads, and fused.
+#[test]
+fn wide_first_key_slots_by_hash_and_matches_oracle() {
+    let rows: Vec<MixedRow> = (0..90_000i64)
+        .map(|i| {
+            (
+                (i % 97 != 0).then_some(i % 66_000),
+                Some(i % 120 - 60),
+                (i % 13 != 0).then_some((i % 5) as u8),
+                None,
+                None,
+            )
+        })
+        .collect();
+    let ages: std::collections::HashSet<_> = rows.iter().map(|r| r.0).collect();
+    assert!(ages.len() > 1 << 16, "{} codes", ages.len());
+    let cat = mixed_catalog(&rows);
+    let aggs = vec![
+        AggItem::count_star("n"),
+        AggItem::new("s", AggFunc::Sum, "Score"),
+    ];
+    let group_by = vec!["Age".to_string(), "Ward".to_string()];
+    for input in [
+        scan("Mixed"),
+        scan("Mixed").filter(col("Score").ge(lit(-25))),
+    ] {
+        let plan = input.aggregate(group_by.clone(), aggs.clone());
+        let oracle = execute_with(&plan, &cat, &ExecConfig::serial());
+        assert!(oracle.is_ok(), "{oracle:?}");
+        for threads in THREADS {
+            let obs = Obs::enabled();
+            let cfg = pipeline_cfg(threads).with_obs(obs.clone());
+            let got = execute_with(&plan, &cat, &cfg);
+            assert_identical(&oracle, &got, &format!("{plan} threads={threads}")).unwrap();
+            let snap = obs.snapshot();
+            assert_eq!(snap.counters.get("plan.choice.pipeline"), Some(&1));
+            assert_eq!(snap.counters.get("pipeline.fallback.error"), None);
+        }
+    }
+}
+
 // ---------- targeted behaviors ----------
 
 /// A keep-everything filter under a materialize sink shares row storage
