@@ -206,13 +206,20 @@ pub fn run_pipeline_with(
         }
     }
     let _span = cfg.obs.span(bi_exec::SpanKind::EtlPipeline);
+    let env = Env {
+        sources,
+        policy,
+        today,
+        cfg,
+    };
     let mut staging = Staging::new();
     let mut loaded = Vec::new();
     let mut steps = Vec::new();
 
-    for step in &pipeline.steps {
+    for (i, step) in pipeline.steps.iter().enumerate() {
         let step_span = cfg.obs.span(bi_exec::SpanKind::EtlStep);
-        let report = execute_step(step, sources, policy, today, cfg, &mut staging, &mut loaded)?;
+        let next = &pipeline.steps[i + 1..];
+        let report = execute_step(step, next, &env, &mut staging, &mut loaded)?;
         drop(step_span);
         cfg.obs.count(bi_exec::Counter::EtlSteps);
         cfg.obs
@@ -229,15 +236,36 @@ pub fn run_pipeline_with(
     })
 }
 
+/// What every step of one run reads.
+struct Env<'a> {
+    sources: &'a BTreeMap<SourceId, Catalog>,
+    policy: Option<&'a CombinedPolicy>,
+    today: Date,
+    cfg: &'a ExecConfig,
+}
+
+/// The number of `Derive` steps on `table` that immediately follow in
+/// `next`: the cells each of its rows is about to gain.
+fn derives_following(table: &str, next: &[Step]) -> usize {
+    next.iter()
+        .take_while(|s| matches!(&s.op, EtlOp::Derive { table: t, .. } if t == table))
+        .count()
+}
+
+/// Runs `step`; `next` holds the steps after it.
 fn execute_step(
     step: &Step,
-    sources: &BTreeMap<SourceId, Catalog>,
-    policy: Option<&CombinedPolicy>,
-    today: Date,
-    cfg: &ExecConfig,
+    next: &[Step],
+    env: &Env,
     staging: &mut Staging,
     loaded: &mut Vec<(Table, Vec<SourceId>)>,
 ) -> Result<StepReport, EtlError> {
+    let &Env {
+        sources,
+        policy,
+        today,
+        cfg,
+    } = env;
     let sid = &step.id;
     let mut touched = 0usize;
     let rows_out;
@@ -342,7 +370,14 @@ fn execute_step(
         }
         EtlOp::Deduplicate { table } => {
             let (t, srcs) = staging.take(table, sid)?;
-            let out = t.distinct();
+            // Copied survivors get room for the cells of the Derives
+            // that follow, so those push in place and every row still
+            // ends at exact capacity.
+            let spare = derives_following(table, next);
+            let out = bi_relation::column::distinct_by_codes(&t, spare, cfg).unwrap_or_else(|e| {
+                cfg.obs.count(e.counter());
+                t.distinct_spare(spare)
+            });
             touched = t.len() - out.len();
             rows_out = out.len();
             staging.put(out, srcs);

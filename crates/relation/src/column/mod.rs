@@ -26,7 +26,7 @@ pub mod cache;
 pub mod kernel;
 pub mod sort;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use bi_types::{DataType, Date, Schema, Value};
@@ -479,6 +479,35 @@ impl ColumnChunk {
             .collect();
         Table::from_rows_trusted(self.name.clone(), Arc::clone(&self.schema), rows)
     }
+}
+
+/// [`Table::distinct_spare`] by per-column group codes: every column
+/// comes through the version-keyed chunk cache
+/// ([`ColumnChunk::from_table_cols_cached`]), each row's tuple of
+/// [`Column::group_codes`] is hashed once, and a row survives when its
+/// tuple is new. Two rows share a tuple exactly when their cells are
+/// `Value`-equal, so the survivors, their order and the shared storage
+/// when nothing is dropped are `distinct`'s; no `Value` is hashed when
+/// every column is cached. Declines like the conversion (a `Float`
+/// column holding `Int` cells): the caller then runs `distinct_spare`.
+pub fn distinct_by_codes(
+    table: &Table,
+    spare: usize,
+    cfg: &bi_exec::ExecConfig,
+) -> Result<Table, ColumnarError> {
+    let width = table.schema().len();
+    let all: Vec<usize> = (0..width).collect();
+    let chunk = ColumnChunk::from_table_cols_cached(table, &all, cfg)?;
+    let codes: Vec<GroupCodes> = (0..width)
+        .filter_map(|c| chunk.column(c))
+        .map(Column::group_codes)
+        .collect();
+    let mut tuples = Vec::with_capacity(table.len() * width);
+    for i in 0..table.len() {
+        tuples.extend(codes.iter().map(|g| g.code(i)));
+    }
+    let mut seen: HashSet<&[u32]> = HashSet::with_capacity(table.len());
+    Ok(table.keep_rows(spare, |i| seen.insert(&tuples[i * width..(i + 1) * width])))
 }
 
 /// Transposes one column of a row table into typed storage.

@@ -197,10 +197,12 @@ impl Table {
     /// debug builds check every row.
     ///
     /// Copy-on-write like [`Table::push_row`]: when the row storage is
-    /// shared with another table, this detaches a private copy first;
-    /// otherwise each cell is pushed onto its row in place. Either way
-    /// the result draws a new storage version, and every row keeps exact
-    /// capacity (retained MVCC versions would otherwise carry the slack).
+    /// shared with another table, each row is copied once, with its new
+    /// cell; otherwise each cell is pushed onto its row in place,
+    /// reallocating only a row without room ([`Table::distinct_spare`]
+    /// leaves room). Either way the result draws a new storage version,
+    /// and a copied or reallocated row has exact capacity (retained MVCC
+    /// versions would otherwise carry the slack).
     pub(crate) fn append_column(
         mut self,
         schema: Arc<Schema>,
@@ -211,10 +213,27 @@ impl Table {
                 message: "appended column does not fit the table",
             });
         }
-        let rows = Arc::make_mut(&mut self.rows);
-        for (row, cell) in rows.iter_mut().zip(cells) {
-            row.reserve_exact(1);
-            row.push(cell);
+        match Arc::get_mut(&mut self.rows) {
+            Some(rows) => {
+                for (row, cell) in rows.iter_mut().zip(cells) {
+                    row.reserve_exact(1);
+                    row.push(cell);
+                }
+            }
+            None => {
+                let rows = self
+                    .rows
+                    .iter()
+                    .zip(cells)
+                    .map(|(row, cell)| {
+                        let mut out = Vec::with_capacity(row.len() + 1);
+                        out.extend_from_slice(row);
+                        out.push(cell);
+                        out
+                    })
+                    .collect();
+                self.rows = Arc::new(rows);
+            }
         }
         debug_check_rows(&schema, &self.rows);
         self.schema = schema;
@@ -297,19 +316,40 @@ impl Table {
     /// copied, once, and only when something was dropped — a
     /// duplicate-free table shares its parent's storage.
     pub fn distinct(&self) -> Table {
+        self.distinct_spare(0)
+    }
+
+    /// [`Table::distinct`] whose copied survivors have room for `spare`
+    /// more cells each, so as many derived columns can be appended
+    /// without reallocating a row. The caller fills that room: rows are
+    /// kept at exact capacity everywhere else.
+    pub fn distinct_spare(&self, spare: usize) -> Table {
         let mut seen: HashSet<&[Value]> = HashSet::with_capacity(self.rows.len());
-        let survivors: Vec<&Row> = self
-            .rows
-            .iter()
-            .filter(|r| seen.insert(r.as_slice()))
+        self.keep_rows(spare, |i| seen.insert(self.rows[i].as_slice()))
+    }
+
+    /// The rows at the indices `keep` admits, asked in order: this
+    /// table's storage and version when it admits every row, otherwise
+    /// each survivor copied once into a row with room for `spare` more
+    /// cells. Both distinct paths end here (the coded one is
+    /// [`crate::column::distinct_by_codes`]).
+    pub(crate) fn keep_rows(&self, spare: usize, mut keep: impl FnMut(usize) -> bool) -> Table {
+        let survivors: Vec<&Row> = (0..self.rows.len())
+            .filter(|&i| keep(i))
+            .map(|i| &self.rows[i])
             .collect();
         let (rows, version) = if survivors.len() == self.rows.len() {
             (Arc::clone(&self.rows), self.version)
         } else {
-            (
-                Arc::new(survivors.into_iter().cloned().collect()),
-                next_version(),
-            )
+            let rows = survivors
+                .into_iter()
+                .map(|r| {
+                    let mut row = Vec::with_capacity(r.len() + spare);
+                    row.extend_from_slice(r);
+                    row
+                })
+                .collect();
+            (Arc::new(rows), next_version())
         };
         Table {
             name: self.name.clone(),

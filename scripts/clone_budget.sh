@@ -61,6 +61,8 @@ declare -A BUDGET=(
   # ETL runner. 24 -> 22 when Derive stopped building one `col(c)`
   # projection item per existing column: it now hands the owned staged
   # table to `derive_scalar`, which appends the new cells in place.
+  # Still 22 after Deduplicate moved onto column codes: the step reads
+  # the steps after it by reference to size its survivors.
   [crates/etl/src/pipeline.rs]=22
   # Staging: the table name is cloned once to key both maps; tables
   # move in and out by value (`take` then `put`), never by copy.
@@ -123,7 +125,8 @@ declare -A BUDGET=(
   # vectors; kernels must operate on codes/primitives, never on Values.
   # kernel.rs 6 -> 4 when its filter driver left (the fused pipeline
   # drives the kernels): three literal copies at compile time and one
-  # test fixture.
+  # test fixture. mod.rs stays 1 with `distinct_by_codes`: it hashes
+  # borrowed code tuples and leaves the survivor copy to table.rs.
   [crates/relation/src/column/mod.rs]=1
   [crates/relation/src/column/kernel.rs]=4
   # Table: a derived table clones only the cells it keeps — each
@@ -133,7 +136,11 @@ declare -A BUDGET=(
   # at 10; the other 4 sites are test fixtures. `distinct` used to clone
   # every row into its hash set and every survivor again. `filter` and
   # `map_rows` are one-thread calls of the scalar entry points, whose
-  # survivor and name clones live in scalar.rs.
+  # survivor and name clones live in scalar.rs. Still 14 after ETL's
+  # deduplication by column codes: it ends in the same survivor tail
+  # as `distinct` (`keep_rows`, one slice copy per survivor), and a
+  # `Derive` over shared rows copies each row once by slice, with its
+  # new cell.
   [crates/relation/src/table.rs]=14
   # Chunk cache: one Arc clone on hit, one on insert — cache paths must
   # never deep-copy column data.

@@ -1,13 +1,16 @@
 //! ETL commits against an oracle fold.
 //!
-//! Random source tables (duplicate rows, NULLs, Int and Float cells
-//! including ±0.0 and NaN, dates, text) run through random chains of
-//! `FilterRows`, `Derive`, `Deduplicate`, `Standardize` and `Load` over
-//! two staged names. The runner must match a fold written here from
-//! `Table::filter`, `Table::map_rows` and a `HashSet<Row>` distinct — the
-//! loaded tables, step reports, typed errors, and which tables share row
-//! storage — at 1, 2 and 8 threads. Copy-on-write pins check that a step
-//! which updates its rows in place never reaches storage it does not own.
+//! Random source tables (duplicate and near-duplicate rows, NULLs, Int
+//! and Float cells including ±0.0 and NaN, dates, text) run through
+//! random chains of `FilterRows`, `Derive`, `Deduplicate`, `Standardize`
+//! and `Load` over two staged names. Half the tables hold no `Int` cell
+//! in their `Float` column, so Deduplicate runs on column codes; the
+//! other half decline to `Value` hashing. The runner must match a fold
+//! written here from `Table::filter`, `Table::map_rows` and a
+//! `HashSet<Row>` distinct — the loaded tables, step reports, typed
+//! errors, and which tables share row storage — at 1, 2 and 8 threads.
+//! Copy-on-write pins check that a step which updates its rows in place
+//! never reaches storage it does not own.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -44,29 +47,40 @@ fn pick<T: Clone>(rng: &mut TestRng, items: &[T]) -> T {
 }
 
 /// An equal value with other bits: Deduplicate must keep whichever
-/// of the two comes first.
-fn twin(x: &Value) -> Value {
+/// of the two comes first. `Float(2.0)` turns into `Int(2)` only in a
+/// `mixed` table.
+fn twin(x: &Value, mixed: bool) -> Value {
     match x {
         Value::Float(f) if *f == 0.0 => Value::Float(-f),
         Value::Float(f) if f.is_nan() => Value::Float(f64::from_bits(f.to_bits() ^ 1)),
-        Value::Float(f) if *f == 2.0 => Value::Int(2),
+        Value::Float(f) if *f == 2.0 && mixed => Value::Int(2),
         Value::Int(2) => Value::Float(2.0),
         other => other.clone(),
     }
 }
 
 /// A source table: mostly a handful of rows over tiny domains, now and
-/// then a few thousand (ids then count rows, so later morsels differ);
-/// either way about one row in eight repeats an earlier one, half of
-/// those with an equal twin of its `x`.
+/// then a few thousand; half of them mixed.
 fn random_table(rng: &mut TestRng, name: &str) -> Table {
     let large = rng.below(6) == 0;
+    let mixed = rng.below(2) == 0;
+    table_of(rng, name, large, mixed)
+}
+
+/// A source table of a handful of rows over tiny domains, or a few
+/// thousand when `large` (ids then count rows, so later morsels
+/// differ). Either way about one row in eight repeats an earlier one:
+/// half of those with an equal twin of its `x`, a quarter with one
+/// cell drawn afresh, so Deduplicate must tell it apart on any column.
+/// Only a `mixed` table holds `Int(2)` cells in the `Float` column `x`,
+/// so only its conversion to columns declines.
+fn table_of(rng: &mut TestRng, name: &str, large: bool, mixed: bool) -> Table {
     let len = if large {
         4_000 + rng.below(5_000) as usize
     } else {
         rng.below(24) as usize
     };
-    let xs = [
+    let all_xs = [
         Value::Null,
         Value::Float(0.0),
         Value::Float(-0.0),
@@ -76,6 +90,11 @@ fn random_table(rng: &mut TestRng, name: &str) -> Table {
         Value::Float(2.0),
         Value::Int(2),
     ];
+    let xs = if mixed {
+        &all_xs[..]
+    } else {
+        &all_xs[..all_xs.len() - 1]
+    };
     let texts = [
         Value::Null,
         Value::text("a"),
@@ -84,27 +103,34 @@ fn random_table(rng: &mut TestRng, name: &str) -> Table {
     ];
     let mut rows: Vec<Row> = Vec::with_capacity(len);
     for i in 0..len {
-        if i > 0 && rng.below(8) == 0 {
-            let mut earlier = rows[rng.below(i as u64) as usize].clone();
-            if rng.below(2) == 0 {
-                earlier[1] = twin(&earlier[1]);
-            }
-            rows.push(earlier);
-            continue;
-        }
         let id = if large { i as i64 } else { rng.below(6) as i64 };
         let n = match rng.below(4) {
             0 => Value::Null,
             k => Value::Int(k as i64),
         };
         let day = Date::new(2007, 1 + rng.below(3) as u8, 1 + rng.below(3) as u8).unwrap();
-        rows.push(vec![
+        let fresh = vec![
             Value::Int(id),
-            pick(rng, &xs),
+            pick(rng, xs),
             n,
             Value::Date(day),
             pick(rng, &texts),
-        ]);
+        ];
+        if i > 0 && rng.below(8) == 0 {
+            let mut earlier = rows[rng.below(i as u64) as usize].clone();
+            match rng.below(4) {
+                0 | 1 => earlier[1] = twin(&earlier[1], mixed),
+                // A near-duplicate: equal to the earlier row but in one cell.
+                2 => {
+                    let c = rng.below(fresh.len() as u64) as usize;
+                    earlier[c] = fresh[c].clone();
+                }
+                _ => {}
+            }
+            rows.push(earlier);
+        } else {
+            rows.push(fresh);
+        }
     }
     Table::from_rows(name, source_schema(), rows).unwrap()
 }
@@ -568,5 +594,80 @@ fn derive_after_extract_never_changes_the_source() {
         }
         let counters = cfg.obs.snapshot().counters;
         assert_eq!(counters.get("vm.compile"), Some(&1));
+    }
+}
+
+/// Large tables take both Deduplicate paths: an `Int`-free one by its
+/// columns' cached group codes, a mixed one by `Value` hashing once its
+/// conversion declines. Both match the oracle fold at 1, 2 and 8
+/// threads, survivors included, and every row ends at exact capacity.
+#[test]
+fn large_tables_deduplicate_by_codes_or_by_values_like_the_oracle() {
+    let mut rng = TestRng::deterministic("etl large tables");
+    let clean = table_of(&mut rng, "T", true, false);
+    let mixed = table_of(&mut rng, "U", true, true);
+    assert!(mixed.rows().iter().any(|r| matches!(r[1], Value::Int(_))));
+    let sources: BTreeMap<SourceId, Catalog> = [("hospital", clean), ("lab", mixed)]
+        .into_iter()
+        .map(|(source, table)| {
+            let mut cat = Catalog::new();
+            cat.add_table(table).unwrap();
+            (SourceId::new(source), cat)
+        })
+        .collect();
+    let mut p = Pipeline::new("large");
+    for ((source, table), staged) in [("hospital", "T"), ("lab", "U")].into_iter().zip(STAGED) {
+        p = p
+            .step(
+                format!("e-{staged}"),
+                EtlOp::Extract {
+                    source: source.into(),
+                    table: table.into(),
+                    as_name: staged.into(),
+                },
+            )
+            .step(
+                format!("dd-{staged}"),
+                EtlOp::Deduplicate {
+                    table: staged.into(),
+                },
+            )
+            .step(
+                format!("d-{staged}"),
+                EtlOp::Derive {
+                    table: staged.into(),
+                    column: "k".into(),
+                    expr: Expr::Bin(BinOp::Mul, Box::new(col("x")), Box::new(lit(-1.0))),
+                },
+            )
+            .step(
+                format!("l-{staged}"),
+                EtlOp::Load {
+                    table: staged.into(),
+                    warehouse_table: format!("W-{staged}"),
+                },
+            );
+    }
+    let want = outcome(&sources, &oracle(&p, &sources));
+    for threads in THREADS {
+        let cfg = ExecConfig::with_threads(threads).with_obs(Obs::enabled());
+        let got = run_pipeline_with(&p, &sources, None, today(), &cfg);
+        assert_eq!(outcome(&sources, &got), want, "threads={threads}");
+        let r = got.unwrap();
+        // Both tables hold duplicates, so both paths copy survivors.
+        let dedups = r.steps.iter().filter(|s| s.op == "deduplicate");
+        assert!(dedups.map(|s| s.touched).all(|n| n > 0));
+        for t in tables(&sources, &r) {
+            assert!(t.rows().iter().all(|row| row.capacity() == row.len()));
+        }
+        // T's five columns came through the chunk cache; U's conversion
+        // looked up `id`, then declined at `x`.
+        let counters = cfg.obs.snapshot().counters;
+        let looked_up = ["chunk.cache.hit", "chunk.cache.miss"]
+            .map(|c| counters.get(c).copied().unwrap_or(0))
+            .iter()
+            .sum::<u64>();
+        assert_eq!(looked_up, 5 + 2, "threads={threads}");
+        assert_eq!(counters.get("columnar.decline.mixed-numeric"), Some(&1));
     }
 }

@@ -685,7 +685,11 @@ proptest! {
     }
 
     /// `distinct` keeps first occurrences in order; a duplicate-free
-    /// table shares its parent's storage instead of copying it.
+    /// table shares its parent's storage instead of copying it. The
+    /// coded path, through the chunk cache and with it bypassed, keeps
+    /// the same rows in the same order, shares storage and version
+    /// exactly when `distinct` does, and leaves its copies the room
+    /// asked for.
     #[test]
     fn distinct_keeps_first_occurrences(t in small_table_strategy()) {
         let out = t.distinct();
@@ -701,6 +705,18 @@ proptest! {
             prop_assert!(out.shares_rows_with(&t), "no duplicates: storage is shared");
         } else {
             prop_assert!(!out.shares_rows_with(&t));
+        }
+        let same_version = |u: &Table| u.storage_version() == t.storage_version();
+        for capacity in [plabi::exec::DEFAULT_CHUNK_CACHE_CAPACITY, 0] {
+            let mut cfg = plabi::exec::ExecConfig::serial();
+            cfg.chunk_cache_capacity = capacity;
+            let coded = plabi::relation::column::distinct_by_codes(&t, 2, &cfg).unwrap();
+            prop_assert_eq!(coded.rows(), out.rows());
+            prop_assert_eq!(coded.shares_rows_with(&t), out.shares_rows_with(&t));
+            prop_assert_eq!(same_version(&coded), same_version(&out));
+            if !coded.shares_rows_with(&t) {
+                prop_assert!(coded.rows().iter().all(|r| r.capacity() == r.len() + 2));
+            }
         }
     }
 
